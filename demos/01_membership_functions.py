@@ -20,15 +20,15 @@ for term in var.terms:
 print("\n  x    " + "  ".join(f"{label:>5}" for label in var.labels) + "    sum")
 for x in np.linspace(var.lo, var.hi, 11):
     degrees = fuzzify(var, float(x))
-    row = "  ".join(f"{d:5.2f}" for d in degrees.values())
-    print(f"{x:5.2f}  {row}  {sum(degrees.values()):5.2f}")
+    row = "  ".join(f"{d:5.2f}" for d in degrees)
+    print(f"{x:5.2f}  {row}  {sum(degrees):5.2f}")
 
 print("\nout-of-range inputs clamp to the nearest boundary term:")
-print(" ", fuzzify(var, 99.0))
+print(" ", dict(zip(var.labels, fuzzify(var, 99.0))))
 
 angle = rb.angle_var
 print(f"\nthe angle variable concentrates its peaks on a band around zero:")
 print("  peaks:", [round(t.mf.peak, 3) for t in angle.terms], f"inside [{angle.lo:.3f}, {angle.hi:.3f}]")
 print("  beyond the band the edge terms saturate at full membership,")
 print("  so even a U-turn error fires the outermost steering row at strength 1:")
-print(" ", {k: round(v, 2) for k, v in fuzzify(angle, 3.0).items()})
+print(" ", {k: round(v, 2) for k, v in zip(angle.labels, fuzzify(angle, 3.0))})

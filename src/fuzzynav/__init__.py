@@ -15,11 +15,8 @@ from .membership import (
 )
 from .engine import (
     AggregatedOutput,
-    DEFAULT_SAMPLES,
     DefuzzResult,
-    FiredConsequent,
     InferenceResult,
-    aggregate,
     defuzz_centroid,
     fire_rules,
     infer,
@@ -72,10 +69,8 @@ __all__ = [
     "BUILTIN_SIZES",
     "ComparisonEntry",
     "DEFAULT_ANGLE_BAND",
-    "DEFAULT_SAMPLES",
     "DefuzzResult",
     "Errors",
-    "FiredConsequent",
     "Goal",
     "InferenceResult",
     "Issue",
@@ -92,7 +87,6 @@ __all__ = [
     "TriangularMF",
     "Twist",
     "WheelSpeeds",
-    "aggregate",
     "benchmark_scenario",
     "builtin",
     "compare",

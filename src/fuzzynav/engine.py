@@ -1,32 +1,35 @@
 """Two-input, two-output Mamdani inference.
 
-Pipeline: fuzzify both inputs, fire every rule with min-AND, clip each
-consequent set at its firing strength (min implication), aggregate clipped
-sets per output with max, and defuzzify by centroid.  All values are
-immutable and every function is pure, so a rule base can be shared freely
-across threads.
+Pipeline: fuzzify both inputs, fire every rule with min-AND, give each
+output term the max strength of the rules naming it, clip the terms at
+those strengths, aggregate with max, and defuzzify by centroid (trapezoid
+rule on a fixed 8001-point grid).  A rule base is compiled on its first
+inference into term indices and output terms sampled on that grid.  All
+values are immutable and every function is pure, so a rule base can be
+shared freely across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .membership import LinguisticVariable, fuzzify, mf_eval
-from .rulebase import RuleBase
+
+if TYPE_CHECKING:
+    from .rulebase import RuleBase
 
 __all__ = [
-    "FiredConsequent",
     "AggregatedOutput",
+    "CompiledRuleBase",
     "DefuzzResult",
     "InferenceResult",
     "fire_rules",
-    "aggregate",
     "defuzz_centroid",
     "infer",
-    "DEFAULT_SAMPLES",
     "ZERO_AREA_TOL",
 ]
 
@@ -34,18 +37,11 @@ __all__ = [
 # trapezoid rule within ~5e-8 of a brute-force reference for clipped
 # triangular curves, while one defuzzification stays well under a
 # millisecond.
-DEFAULT_SAMPLES = 8001
+_SAMPLES = 8001
 
 # Below this aggregated area the centroid is numerically meaningless; the
 # universe midpoint is returned and flagged instead.
 ZERO_AREA_TOL = 1e-12
-
-
-class FiredConsequent(NamedTuple):
-    """One rule's contribution to an output: a term label and its strength."""
-
-    output_label: str
-    strength: float
 
 
 class DefuzzResult(NamedTuple):
@@ -75,14 +71,6 @@ class AggregatedOutput:
     var: LinguisticVariable
     strengths: tuple[float, ...]
 
-    @property
-    def lo(self) -> float:
-        return self.var.lo
-
-    @property
-    def hi(self) -> float:
-        return self.var.hi
-
     def mu(self, x):
         """Evaluate the aggregated membership curve at ``x`` (scalar or array)."""
         xs = np.asarray(x, dtype=float)
@@ -95,85 +83,105 @@ class AggregatedOutput:
         return out
 
 
-def fire_rules(
-    rb: RuleBase, e_theta: float, e_d: float
-) -> tuple[list[FiredConsequent], list[FiredConsequent]]:
-    """Fire every rule of ``rb`` against the two inputs.
+class _Sampled(NamedTuple):
+    """An output universe with every term sampled on the quadrature grid."""
 
-    Rule strength is the min of the two antecedent degrees (fuzzy AND).
-    Returns the (right motor, left motor) consequent lists; rules with
-    zero strength are dropped.
-    """
-    angle_deg = fuzzify(rb.angle_var, e_theta)
-    dist_deg = fuzzify(rb.distance_var, e_d)
-    right: list[FiredConsequent] = []
-    left: list[FiredConsequent] = []
-    for rule in rb.rules:
-        try:
-            strength = min(angle_deg[rule.angle_term], dist_deg[rule.distance_term])
-        except KeyError as exc:
-            raise ValueError(f"rule antecedent {exc} does not resolve against its variable") from None
-        if strength > 0.0:
-            right.append(FiredConsequent(rule.right_term, strength))
-            left.append(FiredConsequent(rule.left_term, strength))
-    return right, left
-
-
-def aggregate(var: LinguisticVariable, fired: list[FiredConsequent]) -> AggregatedOutput:
-    """Combine fired consequents of one output variable into a single curve.
-
-    Each term is clipped at its firing strength; duplicates of the same
-    label combine by max of strengths.  Labels must belong to ``var``.
-    """
-    labels = var.labels
-    by_label: dict[str, float] = {}
-    for fc in fired:
-        if fc.output_label not in labels:
-            raise ValueError(f"unknown output label '{fc.output_label}' for variable '{var.name}'")
-        by_label[fc.output_label] = max(by_label.get(fc.output_label, 0.0), fc.strength)
-    strengths = tuple(by_label.get(label, 0.0) for label in labels)
-    return AggregatedOutput(var, strengths)
+    lo: float
+    hi: float
+    xs: np.ndarray
+    curves: np.ndarray  # one row per term
 
 
 @lru_cache(maxsize=64)
-def _term_curves(var: LinguisticVariable, samples: int):
-    """Sampled membership of every term of ``var`` on the quadrature grid."""
-    xs = np.linspace(var.lo, var.hi, samples)
-    curves = np.vstack([mf_eval(t.mf, xs) for t in var.terms])
+def _sample(lo: float, hi: float, mfs: tuple) -> _Sampled:
+    xs = np.linspace(lo, hi, _SAMPLES)
+    curves = np.vstack([mf_eval(mf, xs) for mf in mfs])
     xs.setflags(write=False)
     curves.setflags(write=False)
-    return xs, curves
+    return _Sampled(lo, hi, xs, curves)
 
 
-def defuzz_centroid(agg: AggregatedOutput, samples: int = DEFAULT_SAMPLES) -> DefuzzResult:
-    """Centroid of the aggregated curve by trapezoidal quadrature.
+def _sampled(var: LinguisticVariable) -> _Sampled:
+    """Sampled terms of ``var``, keyed by geometry so equal variables share them."""
+    return _sample(var.lo, var.hi, tuple(t.mf for t in var.terms))
 
-    The curve is sampled on a uniform grid of ``samples`` points spanning
-    the universe and integrated with the trapezoid rule; the centroid is
-    clamped to the universe.  When the area falls below ``ZERO_AREA_TOL``
-    (nothing fired), the universe midpoint is returned with the
-    ``zero_area`` flag set so the caller stays total.
+
+def _centroid(sampled: _Sampled, strengths) -> DefuzzResult:
+    """Centroid of the terms clipped at ``strengths``, clamped to the universe.
+
+    Below ``ZERO_AREA_TOL`` of area (nothing fired) the universe midpoint
+    is returned with the ``zero_area`` flag set, so the caller stays total.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    xs, curves = _term_curves(agg.var, samples)
-    strengths = np.asarray(agg.strengths, dtype=float)
-    mu = np.max(np.minimum(curves, strengths[:, None]), axis=0)
-    h = (agg.hi - agg.lo) / (samples - 1)
+    lo, hi, xs, curves = sampled
+    clips = np.asarray(strengths, dtype=float)
+    mu = np.max(np.minimum(curves, clips[:, None]), axis=0)
+    h = (hi - lo) / (_SAMPLES - 1)
     area = h * (mu.sum() - 0.5 * (mu[0] + mu[-1]))
     if area < ZERO_AREA_TOL:
-        return DefuzzResult(0.5 * (agg.lo + agg.hi), True)
+        return DefuzzResult(0.5 * (lo + hi), True)
     xmu = xs * mu
     moment = h * (xmu.sum() - 0.5 * (xmu[0] + xmu[-1]))
-    value = min(max(moment / area, agg.lo), agg.hi)
-    return DefuzzResult(float(value), False)
+    return DefuzzResult(float(min(max(moment / area, lo), hi)), False)
 
 
-def infer(
-    rb: RuleBase, e_theta: float, e_d: float, samples: int = DEFAULT_SAMPLES
-) -> InferenceResult:
-    """Full Mamdani step: crisp (angle error, distance error) -> wheel velocities."""
-    fired_right, fired_left = fire_rules(rb, e_theta, e_d)
-    right = defuzz_centroid(aggregate(rb.right_var, fired_right), samples)
-    left = defuzz_centroid(aggregate(rb.left_var, fired_left), samples)
-    return InferenceResult(right.value, left.value, right.zero_area, left.zero_area)
+class CompiledRuleBase(NamedTuple):
+    """A rule base resolved for inference: per rule, in rule order, its
+    (angle, distance, right, left) term indices; both output universes sampled.
+    """
+
+    angle_var: LinguisticVariable
+    distance_var: LinguisticVariable
+    rules: tuple[tuple[int, int, int, int], ...]
+    right: _Sampled
+    left: _Sampled
+
+    @classmethod
+    def of(cls, rb: RuleBase) -> CompiledRuleBase:
+        """Compile ``rb``; a label that does not resolve raises ValueError naming it."""
+        roles = ((rb.angle_var, "antecedent"), (rb.distance_var, "antecedent"),
+                 (rb.right_var, "consequent"), (rb.left_var, "consequent"))
+        for rule in rb.rules:
+            for (var, role), label in zip(roles, rule):
+                if label not in var.labels:
+                    raise ValueError(f"rule {role} '{label}' does not resolve against variable '{var.name}'")
+        rules = tuple(tuple(var.labels.index(label) for (var, _), label in zip(roles, rule)) for rule in rb.rules)
+        return cls(rb.angle_var, rb.distance_var, rules, _sampled(rb.right_var), _sampled(rb.left_var))
+
+    def fire(self, e_theta: float, e_d: float) -> tuple[float, ...]:
+        """Min-AND strength of every rule, in rule order."""
+        angle = fuzzify(self.angle_var, e_theta)
+        dist = fuzzify(self.distance_var, e_d)
+        return tuple([min(angle[a], dist[d]) for a, d, _, _ in self.rules])
+
+    def term_strengths(self, strengths) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(right, left) per-term strengths: the max over the rules naming each term."""
+        right = [0.0] * len(self.right.curves)
+        left = [0.0] * len(self.left.curves)
+        for s, (_, _, r, l) in zip(strengths, self.rules):
+            right[r] = max(right[r], s)
+            left[l] = max(left[l], s)
+        return tuple(right), tuple(left)
+
+
+def fire_rules(rb: RuleBase, e_theta: float, e_d: float) -> tuple[float, ...]:
+    """Min-AND strength of every rule of ``rb``, in rule order, zeros included."""
+    return rb.compiled.fire(e_theta, e_d)
+
+
+def defuzz_centroid(agg: AggregatedOutput) -> DefuzzResult:
+    """Centroid of the aggregated curve by the module's trapezoidal quadrature."""
+    return _centroid(_sampled(agg.var), agg.strengths)
+
+
+def infer(rb: RuleBase, e_theta: float, e_d: float) -> InferenceResult:
+    """Full Mamdani step: crisp (angle error, distance error) -> wheel velocities.
+
+    Raises ValueError naming the input when either is not finite.
+    """
+    for name, value in (("e_theta", e_theta), ("e_d", e_d)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    compiled = rb.compiled
+    right, left = compiled.term_strengths(compiled.fire(e_theta, e_d))
+    r, l = _centroid(compiled.right, right), _centroid(compiled.left, left)
+    return InferenceResult(r.value, l.value, r.zero_area, l.zero_area)

@@ -90,12 +90,10 @@ class RobotParams:
     v_max: float = 2.0
 
     def __post_init__(self):
-        if not self.wheel_base > 0:
-            raise ValueError("wheel_base must be > 0")
-        if not self.wheel_radius > 0:
-            raise ValueError("wheel_radius must be > 0")
-        if not self.v_max > 0:
-            raise ValueError("v_max must be > 0")
+        for name in ("wheel_base", "wheel_radius", "v_max"):
+            _require_finite(name, getattr(self, name))
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 def wheel_to_twist(ws: WheelSpeeds, p: RobotParams) -> Twist:

@@ -66,14 +66,8 @@ def mf_eval(mf: TriangularMF, x):
     shoulder holds membership at 1 beyond its flat side.
     """
     xs = np.asarray(x, dtype=float)
-    if mf.is_left_shoulder:
-        up = np.ones_like(xs)
-    else:
-        up = (xs - mf.left) / (mf.peak - mf.left)
-    if mf.is_right_shoulder:
-        down = np.ones_like(xs)
-    else:
-        down = (mf.right - xs) / (mf.right - mf.peak)
+    up = 1.0 if mf.is_left_shoulder else (xs - mf.left) / (mf.peak - mf.left)
+    down = 1.0 if mf.is_right_shoulder else (mf.right - xs) / (mf.right - mf.peak)
     deg = np.clip(np.minimum(up, down), 0.0, 1.0)
     if xs.ndim == 0:
         return float(deg)
@@ -151,15 +145,22 @@ class LinguisticVariable:
         return min(max(x, self.lo), self.hi)
 
 
-def fuzzify(var: LinguisticVariable, x: float) -> dict[str, float]:
-    """Membership degree of ``x`` in every term of ``var``.
+def _degree(mf: TriangularMF, x: float) -> float:
+    """Scalar twin of ``mf_eval`` in plain floats: the same IEEE operations."""
+    up = 1.0 if mf.is_left_shoulder else (x - mf.left) / (mf.peak - mf.left)
+    down = 1.0 if mf.is_right_shoulder else (mf.right - x) / (mf.right - mf.peak)
+    return min(max(min(up, down), 0.0), 1.0)
+
+
+def fuzzify(var: LinguisticVariable, x: float) -> tuple[float, ...]:
+    """Membership degree of ``x`` in every term of ``var``, in term order.
 
     ``x`` is clamped to the universe first, so out-of-range inputs land on
-    the nearest boundary term instead of fuzzifying to all zeros.  The
-    returned dict has one entry per term, in term order, zeros included.
+    the nearest boundary term instead of fuzzifying to all zeros.  Zeros
+    are included, one degree per term; each equals ``mf_eval`` bit for bit.
     """
     xc = var.clamp(x)
-    return {t.label: mf_eval(t.mf, xc) for t in var.terms}
+    return tuple([_degree(t.mf, xc) for t in var.terms])
 
 
 def uniform_variable(

@@ -9,8 +9,8 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .engine import DEFAULT_SAMPLES, infer
-from .kinematics import Pose, WheelSpeeds, wrap_angle
+from .engine import infer
+from .kinematics import Pose, WheelSpeeds, _require_finite, wrap_angle
 from .rulebase import RuleBase
 
 __all__ = ["Goal", "Errors", "compute_errors", "control_step", "COINCIDENT_TOL"]
@@ -30,8 +30,8 @@ class Goal:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("goal coordinates must be finite")
+        _require_finite("goal x", self.x)
+        _require_finite("goal y", self.y)
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ def compute_errors(pose: Pose, goal: Goal) -> Errors:
     return Errors(e_d, wrap_angle(math.atan2(dy, dx) - pose.theta))
 
 
-def control_step(rb: RuleBase, errors: Errors, samples: int = DEFAULT_SAMPLES) -> WheelSpeeds:
+def control_step(rb: RuleBase, errors: Errors) -> WheelSpeeds:
     """One inference step: controller errors -> commanded wheel speeds."""
-    result = infer(rb, errors.e_theta, errors.e_d, samples)
+    result = infer(rb, errors.e_theta, errors.e_d)
     if result.right_zero_area or result.left_zero_area:
         log.warning(
             "zero-area aggregation at e_theta=%.4f e_d=%.4f (right=%s left=%s)",

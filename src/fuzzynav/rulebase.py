@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
+from .engine import CompiledRuleBase
 from .membership import LinguisticVariable, uniform_variable
 
 __all__ = [
@@ -60,6 +62,9 @@ class RuleBase:
     right_var: LinguisticVariable
     left_var: LinguisticVariable
     rules: tuple[Rule, ...]
+
+    # Resolved for inference on first use; raises ValueError on an unresolved label.
+    compiled = cached_property(CompiledRuleBase.of)
 
     def consequents(self, angle_term: str, distance_term: str) -> tuple[str, str]:
         """(right, left) consequent labels of the cell, for table lookups."""
@@ -202,21 +207,17 @@ def validate(rb: RuleBase) -> list[Issue]:
     grid must be the full angle x distance product).
     """
     issues: list[Issue] = []
-    angle_labels = set(rb.angle_var.labels)
-    dist_labels = set(rb.distance_var.labels)
-    right_labels = set(rb.right_var.labels)
-    left_labels = set(rb.left_var.labels)
-
+    columns = (
+        ("antecedent", "angle", set(rb.angle_var.labels)),
+        ("antecedent", "distance", set(rb.distance_var.labels)),
+        ("consequent", "right", set(rb.right_var.labels)),
+        ("consequent", "left", set(rb.left_var.labels)),
+    )
     seen: set[tuple[str, str]] = set()
     for r in rb.rules:
-        if r.angle_term not in angle_labels:
-            issues.append(Issue(f"unresolved antecedent: angle term '{r.angle_term}' not defined"))
-        if r.distance_term not in dist_labels:
-            issues.append(Issue(f"unresolved antecedent: distance term '{r.distance_term}' not defined"))
-        if r.right_term not in right_labels:
-            issues.append(Issue(f"unresolved consequent: right term '{r.right_term}' not defined"))
-        if r.left_term not in left_labels:
-            issues.append(Issue(f"unresolved consequent: left term '{r.left_term}' not defined"))
+        for (kind, role, labels), label in zip(columns, r):
+            if label not in labels:
+                issues.append(Issue(f"unresolved {kind}: {role} term '{label}' not defined"))
         cell = (r.angle_term, r.distance_term)
         if cell in seen:
             issues.append(Issue(f"duplicate cell: ({r.angle_term}, {r.distance_term})"))

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .engine import DEFAULT_SAMPLES
-from .kinematics import Pose, RobotParams, WheelSpeeds, step_euler, wheel_to_twist
+from .kinematics import Pose, RobotParams, WheelSpeeds, _require_finite, step_euler, wheel_to_twist
 from .navigator import Errors, Goal, compute_errors, control_step
 from .rulebase import RuleBase, builtin
 from .ruleformat import parse_rulebase
@@ -70,6 +69,8 @@ class Scenario:
 
     def validate(self):
         """Raise ValueError naming the offending field if the scenario is invalid."""
+        for name in _NUMBER_FIELDS:
+            _require_finite(f"scenario field '{name}'", getattr(self, name))
         if not self.dt > 0:
             raise ValueError("scenario field 'dt' must be > 0")
         if not self.max_time >= self.dt:
@@ -140,7 +141,7 @@ def resolve_controller(sc: Scenario) -> tuple[str, RuleBase]:
     return spec, parse_rulebase(text)
 
 
-def run(sc: Scenario, samples: int = DEFAULT_SAMPLES) -> tuple[list[TrajectorySample], Metrics]:
+def run(sc: Scenario) -> tuple[list[TrajectorySample], Metrics]:
     """Simulate ``sc`` to termination.
 
     Each tick: compute errors, record a sample, then stop if the goal disc
@@ -169,7 +170,7 @@ def run(sc: Scenario, samples: int = DEFAULT_SAMPLES) -> tuple[list[TrajectorySa
         if t >= sc.max_time:
             trajectory.append(TrajectorySample(t, pose, errors, WheelSpeeds(0.0, 0.0)))
             break
-        wheels = control_step(rb, errors, samples)
+        wheels = control_step(rb, errors)
         trajectory.append(TrajectorySample(t, pose, errors, wheels))
         new_pose = step_euler(pose, wheel_to_twist(wheels, sc.params), sc.dt)
         path_length += math.hypot(new_pose.x - pose.x, new_pose.y - pose.y)
@@ -188,7 +189,6 @@ def run(sc: Scenario, samples: int = DEFAULT_SAMPLES) -> tuple[list[TrajectorySa
 def compare(
     sc: Scenario,
     controllers: tuple[str, ...] = BUILTIN_CONTROLLERS,
-    samples: int = DEFAULT_SAMPLES,
 ) -> list[ComparisonEntry]:
     """Run the same scenario once per controller.
 
@@ -199,7 +199,7 @@ def compare(
     for name in controllers:
         candidate = replace(sc, controller=name)
         try:
-            trajectory, metrics = run(candidate, samples)
+            trajectory, metrics = run(candidate)
             entries.append(ComparisonEntry(name, metrics, tuple(trajectory)))
         except (ValueError, RuntimeError) as exc:
             entries.append(ComparisonEntry(name, None, None, error=str(exc)))
@@ -248,6 +248,7 @@ _SCENARIO_KEYS = {"start", "goal", "dt", "max_time", "goal_tol", "angle_tol", "p
 _START_KEYS = {"x", "y", "theta"}
 _GOAL_KEYS = {"x", "y"}
 _PARAMS_KEYS = {"wheel_base", "wheel_radius", "v_max"}
+_NUMBER_FIELDS = ("dt", "max_time", "goal_tol", "angle_tol")  # finite numbers, all optional
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str):
@@ -303,16 +304,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(controller, str):
         raise ValueError("scenario field 'controller' must be '3', '5', '7' or a rules-file path")
 
-    sc = Scenario(
-        start=start,
-        goal=goal,
-        dt=_number(data, "dt", "scenario") if "dt" in data else BENCHMARK_DT,
-        max_time=_number(data, "max_time", "scenario") if "max_time" in data else 120.0,
-        goal_tol=_number(data, "goal_tol", "scenario") if "goal_tol" in data else 0.1,
-        angle_tol=_number(data, "angle_tol", "scenario") if "angle_tol" in data else 0.05,
-        params=params,
-        controller=controller,
-    )
+    numbers = {k: _number(data, k, "scenario") for k in _NUMBER_FIELDS if k in data}
+    sc = Scenario(start=start, goal=goal, params=params, controller=controller, **numbers)
     sc.validate()
     return sc
 
@@ -337,9 +330,13 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 def load_scenario(path: str) -> Scenario:
     """Read a JSON scenario config; see ``docs/scenario_format.md``."""
+
+    def reject(token: str):  # NaN, Infinity, -Infinity: valid for Python's json only
+        raise ValueError(f"{path}: invalid JSON: non-finite number '{token}'")
+
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
     return scenario_from_dict(data)

@@ -5,11 +5,11 @@ import pytest
 
 from fuzzynav import (
     AggregatedOutput,
-    FiredConsequent,
     LinguisticVariable,
+    Rule,
+    RuleBase,
     Term,
     TriangularMF,
-    aggregate,
     builtin,
     defuzz_centroid,
     fire_rules,
@@ -50,6 +50,19 @@ def brute_centroid(clips, lo, hi, n=100001):
     return float((xs * mu).sum() / mu.sum())
 
 
+def aggregate(var, fired):
+    """Aggregate (label, strength) consequents of ``var`` through the engine's compiled max.
+
+    One rule per consequent, all on the same antecedent cell; the given
+    strengths stand in for the fired ones.
+    """
+    ref = builtin(3)
+    rules = tuple(Rule("Z", "Z", label, label) for label, _ in fired)
+    rb = RuleBase(ref.angle_var, ref.distance_var, var, var, rules)
+    right, _ = rb.compiled.term_strengths(tuple(s for _, s in fired))
+    return AggregatedOutput(var, right)
+
+
 def clips_of(agg):
     return [
         ((t.mf.left, t.mf.peak, t.mf.right), s)
@@ -58,34 +71,40 @@ def clips_of(agg):
     ]
 
 
+def rule_index(rb, angle_term, distance_term):
+    return next(
+        i for i, r in enumerate(rb.rules) if (r.angle_term, r.distance_term) == (angle_term, distance_term)
+    )
+
+
 class TestFireRules:
     def test_on_peaks_single_rule(self):
         # inputs exactly on the peaks of angle N and distance F: one rule fires
         rb = builtin(3, d_max=24.41)
         e_theta = rb.angle_var.term("N").mf.peak
         e_d = rb.distance_var.term("F").mf.peak
-        right, left = fire_rules(rb, e_theta, e_d)
-        assert right == [FiredConsequent("M", 1.0)]
-        assert left == [FiredConsequent("F", 1.0)]
+        strengths = fire_rules(rb, e_theta, e_d)
+        fired = [(r.right_term, r.left_term, s) for r, s in zip(rb.rules, strengths) if s > 0]
+        assert fired == [("M", "F", 1.0)]
+        assert strengths[rule_index(rb, "N", "F")] == 1.0
 
     def test_crossover_two_rules_at_half(self):
         rb = builtin(3, d_max=24.41)
         # halfway between Z and P angle peaks, distance exactly on F's peak
         e_theta = 0.5 * (rb.angle_var.term("Z").mf.peak + rb.angle_var.term("P").mf.peak)
         e_d = rb.distance_var.term("F").mf.peak
-        right, left = fire_rules(rb, e_theta, e_d)
-        assert len(right) == len(left) == 2
-        assert all(fc.strength == 0.5 for fc in right + left)
+        strengths = fire_rules(rb, e_theta, e_d)
+        assert [s for s in strengths if s > 0] == [0.5, 0.5]
+        assert strengths[rule_index(rb, "Z", "F")] == strengths[rule_index(rb, "P", "F")] == 0.5
 
     def test_strength_is_min_of_degrees(self):
         # angle degree 0.3 on P, distance degree 0.7 on F -> strength 0.3
         rb = builtin(3, d_max=10.0)
         e_theta = 0.3 * rb.angle_var.term("P").mf.peak
         e_d = 10.0 - 0.3 * 5.0  # F rises over [5, 10]: degree 0.7 at 8.5
-        right, _ = fire_rules(rb, e_theta, e_d)
-        strengths = {fc.output_label: fc.strength for fc in right}
-        # rule (P, F) -> right F with strength min(0.3, 0.7)
-        assert math.isclose(strengths["F"], 0.3, abs_tol=1e-12)
+        strengths = fire_rules(rb, e_theta, e_d)
+        # rule (P, F) -> strength min(0.3, 0.7)
+        assert math.isclose(strengths[rule_index(rb, "P", "F")], 0.3, abs_tol=1e-12)
 
     def test_min_oracle_on_random_inputs(self):
         # hand-rolled strength recomputation for every rule, 1000 random inputs
@@ -95,19 +114,13 @@ class TestFireRules:
             for _ in range(1000 // 3):
                 e_theta = rng.uniform(-4, 4)
                 e_d = rng.uniform(-1, 30)
-                right, left = fire_rules(rb, e_theta, e_d)
-                angle_deg = fuzzify(rb.angle_var, e_theta)
-                dist_deg = fuzzify(rb.distance_var, e_d)
-                expected_right = []
-                expected_left = []
-                for rule in rb.rules:
-                    s = min(angle_deg[rule.angle_term], dist_deg[rule.distance_term])
-                    if s > 0:
-                        expected_right.append((rule.right_term, s))
-                        expected_left.append((rule.left_term, s))
-                assert [(fc.output_label, fc.strength) for fc in right] == expected_right
-                assert [(fc.output_label, fc.strength) for fc in left] == expected_left
-                assert all(0 < fc.strength <= 1 for fc in right + left)
+                strengths = fire_rules(rb, e_theta, e_d)
+                angle_deg = dict(zip(rb.angle_var.labels, fuzzify(rb.angle_var, e_theta)))
+                dist_deg = dict(zip(rb.distance_var.labels, fuzzify(rb.distance_var, e_d)))
+                expected = tuple(min(angle_deg[r.angle_term], dist_deg[r.distance_term]) for r in rb.rules)
+                assert strengths == expected
+                assert all(0 <= s <= 1 for s in strengths)
+                assert any(s > 0 for s in strengths)
 
 
 def velocity_var():
@@ -117,7 +130,7 @@ def velocity_var():
 class TestAggregate:
     def test_single_full_strength_clip_is_the_triangle(self):
         var = velocity_var()
-        agg = aggregate(var, [FiredConsequent("M", 1.0)])
+        agg = aggregate(var, [("M", 1.0)])
         xs = np.linspace(0, 2, 101)
         np.testing.assert_allclose(agg.mu(xs), [TriangularMF(0, 1, 2)(x) for x in xs])
 
@@ -129,7 +142,7 @@ class TestAggregate:
     def test_two_disjoint_plateaus_match_dense_grid_oracle(self):
         # S and F clipped at 0.5 have disjoint supports: two plateaus of 0.5
         var = velocity_var()
-        agg = aggregate(var, [FiredConsequent("S", 0.5), FiredConsequent("F", 0.5)])
+        agg = aggregate(var, [("S", 0.5), ("F", 0.5)])
         clips = clips_of(agg)
         xs = np.linspace(0, 2, 2001)
         expected = np.array([brute_mu(clips, x) for x in xs])
@@ -139,11 +152,11 @@ class TestAggregate:
 
     def test_unknown_label_rejected_by_name(self):
         with pytest.raises(ValueError, match="XX"):
-            aggregate(velocity_var(), [FiredConsequent("XX", 0.5)])
+            aggregate(velocity_var(), [("XX", 0.5)])
 
     def test_duplicate_labels_combine_by_max(self):
         var = velocity_var()
-        agg = aggregate(var, [FiredConsequent("M", 0.3), FiredConsequent("M", 0.8)])
+        agg = aggregate(var, [("M", 0.3), ("M", 0.8)])
         assert agg.strengths[var.labels.index("M")] == 0.8
 
     def test_curve_bounded_by_max_strength(self):
@@ -151,13 +164,13 @@ class TestAggregate:
         var = uniform_variable("v", 0.0, 2.0, ("VS2", "VS1", "S", "M", "F", "VF1", "VF2"))
         for _ in range(50):
             fired = [
-                FiredConsequent(label, rng.uniform(0, 1))
+                (label, rng.uniform(0, 1))
                 for label in rng.choice(var.labels, size=rng.integers(1, 8), replace=False)
             ]
             agg = aggregate(var, fired)
             mu = agg.mu(np.linspace(0, 2, 501))
             assert np.all(mu >= 0)
-            assert np.all(mu <= max(fc.strength for fc in fired) + 1e-15)
+            assert np.all(mu <= max(s for _, s in fired) + 1e-15)
             assert np.all(mu <= 1.0)
 
 
@@ -169,7 +182,7 @@ class TestDefuzzCentroid:
             Term("lo", TriangularMF(0.0, 0.0, 1.0)),
             Term("hi", TriangularMF(1.0, 2.0, 2.0)),
         ))
-        agg = aggregate(var, [FiredConsequent("mid", 1.0)])
+        agg = aggregate(var, [("mid", 1.0)])
         value, zero_area = defuzz_centroid(agg)
         assert not zero_area
         assert abs(value - 1.0) <= 1e-9
@@ -181,7 +194,7 @@ class TestDefuzzCentroid:
             Term("cover_lo", TriangularMF(0.0, 0.0, 1.6)),
             Term("cover_hi", TriangularMF(0.4, 2.0, 2.0)),
         ))
-        agg = aggregate(var, [FiredConsequent("a", 0.6), FiredConsequent("b", 0.6)])
+        agg = aggregate(var, [("a", 0.6), ("b", 0.6)])
         value, zero_area = defuzz_centroid(agg)
         assert not zero_area
         assert abs(value - 0.5 * (0.25 + 1.75)) <= 1e-9
@@ -195,7 +208,7 @@ class TestDefuzzCentroid:
             var = builtin(n, d_max=24.41).right_var
             k = rng.integers(1, len(var.labels) + 1)
             labels = rng.choice(var.labels, size=k, replace=False)
-            fired = [FiredConsequent(str(lab), float(rng.uniform(0.05, 1.0))) for lab in labels]
+            fired = [(str(lab), float(rng.uniform(0.05, 1.0))) for lab in labels]
             agg = aggregate(var, fired)
             value, zero_area = defuzz_centroid(agg)
             assert not zero_area
@@ -213,7 +226,7 @@ class TestDefuzzCentroid:
         rng = np.random.default_rng(17)
         var = velocity_var()
         for _ in range(100):
-            fired = [FiredConsequent("S", rng.uniform(0, 1)), FiredConsequent("F", rng.uniform(0, 1))]
+            fired = [("S", rng.uniform(0, 1)), ("F", rng.uniform(0, 1))]
             value, _ = defuzz_centroid(aggregate(var, fired))
             assert 0.0 <= value <= 2.0
 
@@ -227,19 +240,28 @@ class TestDefuzzCentroid:
         ))
         rng = np.random.default_rng(23)
         for c in rng.uniform(0.01, 1.0, 25):
-            value, _ = defuzz_centroid(aggregate(var, [FiredConsequent("mid", float(c))]))
+            value, _ = defuzz_centroid(aggregate(var, [("mid", float(c))]))
             assert abs(value - 1.0) <= 1e-9
-
-    def test_sample_count_is_configurable(self):
-        agg = aggregate(velocity_var(), [FiredConsequent("F", 1.0)])
-        coarse = defuzz_centroid(agg, samples=101).value
-        fine = defuzz_centroid(agg, samples=40001).value
-        assert abs(coarse - fine) < 1e-2
-        with pytest.raises(ValueError):
-            defuzz_centroid(agg, samples=1)
 
 
 class TestInfer:
+    def test_stages_compose_to_infer(self):
+        rng = np.random.default_rng(43)
+        for n in (3, 5, 7):
+            rb = builtin(n, d_max=24.41)
+            for _ in range(50):
+                e_theta, e_d = rng.uniform(-4, 4), rng.uniform(-1, 30)
+                right, left = rb.compiled.term_strengths(fire_rules(rb, e_theta, e_d))
+                r = defuzz_centroid(AggregatedOutput(rb.right_var, right))
+                l = defuzz_centroid(AggregatedOutput(rb.left_var, left))
+                assert infer(rb, e_theta, e_d) == (r.value, l.value, r.zero_area, l.zero_area)
+
+    def test_compiled_once_and_outputs_share_samples(self):
+        rb = builtin(7, d_max=24.41)
+        assert rb.compiled is rb.compiled
+        # right and left have the same term geometry, so one sampling serves both
+        assert rb.compiled.right is rb.compiled.left
+
     def test_rule_z_z_gives_slow_centroid_on_both(self):
         # on the (Z, Z) peaks both motors defuzzify the S shoulder; its exact
         # centroid over [0, 1] with mu = 1 - x is 1/3 (quadrature-accurate:
@@ -298,6 +320,13 @@ class TestErrorPaths:
         )
         with pytest.raises(ValueError, match="antecedent"):
             fire_rules(broken, 0.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["e_theta", "e_d"])
+    def test_infer_rejects_non_finite_input_by_name(self, name, value):
+        inputs = {"e_theta": 0.1, "e_d": 5.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            infer(builtin(3), **inputs)
 
     def test_zero_area_threshold_boundary(self):
         from fuzzynav.engine import ZERO_AREA_TOL

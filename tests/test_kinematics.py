@@ -196,6 +196,10 @@ class TestTypesAndWrap:
             RobotParams(wheel_radius=-0.1)
         with pytest.raises(ValueError):
             RobotParams(v_max=0.0)
+        for field in ("wheel_base", "wheel_radius", "v_max"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    RobotParams(**{field: bad})
 
 
 class TestHeadingStaysWrapped:

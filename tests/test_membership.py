@@ -71,22 +71,23 @@ def three_term_var():
 
 class TestFuzzify:
     def test_on_peak(self):
-        assert fuzzify(three_term_var(), 0.0) == {"N": 0.0, "Z": 1.0, "P": 0.0}
+        assert fuzzify(three_term_var(), 0.0) == (0.0, 1.0, 0.0)
 
     def test_symmetric_crossover(self):
-        assert fuzzify(three_term_var(), 0.5) == {"N": 0.0, "Z": 0.5, "P": 0.5}
+        assert fuzzify(three_term_var(), 0.5) == (0.0, 0.5, 0.5)
 
     def test_out_of_range_clamps(self):
-        assert fuzzify(three_term_var(), 10.0) == {"N": 0.0, "Z": 0.0, "P": 1.0}
-        assert fuzzify(three_term_var(), -10.0) == {"N": 1.0, "Z": 0.0, "P": 0.0}
+        assert fuzzify(three_term_var(), 10.0) == (0.0, 0.0, 1.0)
+        assert fuzzify(three_term_var(), -10.0) == (1.0, 0.0, 0.0)
 
     def test_one_degree_per_term_and_coverage(self):
         rng = np.random.default_rng(11)
         var = three_term_var()
         for x in rng.uniform(-2, 2, 100):
             degrees = fuzzify(var, x)
-            assert set(degrees) == {"N", "Z", "P"}
-            assert max(degrees.values()) > 0
+            assert len(degrees) == len(var.terms)
+            assert degrees == tuple(mf_eval(t.mf, var.clamp(x)) for t in var.terms)
+            assert max(degrees) > 0
 
     def test_partition_of_unity_for_builtin_layouts(self):
         # uniform 50%-overlap partitions (including the banded angle layout
@@ -96,7 +97,7 @@ class TestFuzzify:
             rb = builtin(n, d_max=24.41)
             for var in (rb.angle_var, rb.distance_var, rb.right_var, rb.left_var):
                 for x in rng.uniform(var.lo, var.hi, 200):
-                    total = sum(fuzzify(var, x).values())
+                    total = sum(fuzzify(var, x))
                     assert abs(total - 1.0) <= 1e-12
 
 
@@ -154,7 +155,7 @@ class TestUniformVariable:
         # saturated zone: the edge terms hold membership 1 out to the boundary
         assert mf_eval(var.terms[0].mf, -3.0) == 1.0
         assert mf_eval(var.terms[-1].mf, 3.0) == 1.0
-        assert sum(fuzzify(var, -2.0).values()) == 1.0
+        assert sum(fuzzify(var, -2.0)) == 1.0
 
     def test_rejects_bad_span(self):
         with pytest.raises(ValueError, match="peak span"):

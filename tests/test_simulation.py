@@ -203,18 +203,21 @@ class TestScenarioConfig:
             scenario_from_dict(cfg)
 
     def test_field_errors_name_the_field(self):
-        cfg = self.base_config()
-        cfg["dt"] = 0
-        with pytest.raises(ValueError, match="'dt'"):
-            scenario_from_dict(cfg)
-        cfg = self.base_config()
-        cfg["goal_tol"] = -1
-        with pytest.raises(ValueError, match="'goal_tol'"):
-            scenario_from_dict(cfg)
-        cfg = self.base_config()
-        cfg["dt"] = "fast"
-        with pytest.raises(ValueError, match="'dt'"):
-            scenario_from_dict(cfg)
+        cases = [("dt", 0, "'dt'"), ("goal_tol", -1, "'goal_tol'"), ("dt", "fast", "'dt'")]
+        # every numeric field rejects non-finite values, naming the field
+        for field in ("dt", "max_time", "goal_tol", "angle_tol"):
+            cases += [(field, bad, f"'{field}' must be finite") for bad in (math.nan, math.inf, -math.inf)]
+        for section, field in (("params", "wheel_base"), ("params", "wheel_radius"), ("params", "v_max"),
+                               ("start", "x"), ("start", "y"), ("start", "theta"), ("goal", "x"), ("goal", "y")):
+            cases += [((section, field), bad, f"{field} must be finite") for bad in (math.nan, math.inf, -math.inf)]
+        for key, bad, match in cases:
+            cfg = self.base_config()
+            if isinstance(key, tuple):
+                cfg[key[0]][key[1]] = bad
+            else:
+                cfg[key] = bad
+            with pytest.raises(ValueError, match=match):
+                scenario_from_dict(cfg)
 
     def test_integer_controller_accepted(self):
         cfg = self.base_config()
@@ -235,11 +238,43 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="line 2"):
             load_scenario(str(path))
 
+    def test_load_scenario_rejects_non_finite_tokens_by_name(self, tmp_path):
+        path = tmp_path / "inf.json"
+        for token in ("NaN", "Infinity", "-Infinity"):
+            path.write_text(json.dumps(self.base_config()).replace('"max_time": 60.0', f'"max_time": {token}'),
+                            encoding="utf-8")
+            with pytest.raises(ValueError, match=f"non-finite number '{token}'"):
+                load_scenario(str(path))
+
     def test_load_scenario_file(self, tmp_path):
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(self.base_config()), encoding="utf-8")
         sc = load_scenario(str(path))
         assert sc.params.v_max == 2.0
+
+
+# Numerically sensitive runs under the 8001-point centroid quadrature:
+# (controller, bearing, distance) -> (reached, samples, path_length); None
+# is the paper geometry.  The orbiting 0.5 m starts circle the goal for the
+# whole 120 s, so a change in the ninth digit of a defuzzified speed shows.
+PINNED_RUNS = {
+    ("3", None, None): (True, 264, 24.456218166335173),
+    ("5", None, None): (True, 328, 24.41570846254852),
+    ("7", None, None): (True, 373, 24.419888464978317),
+    ("3", -math.pi + 5 * 2 * math.pi / 256, 0.5): (False, 1201, 152.67049149171058),
+    ("7", -math.pi + 36 * 2 * math.pi / 256, 0.5): (False, 1201, 131.82259499864858),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_RUNS, ids=lambda c: f"{c[0]}mf-{'paper' if c[1] is None else 'orbit'}")
+def test_numerically_sensitive_runs_are_pinned(case):
+    controller, bearing, distance = case
+    sc = benchmark_scenario(controller) if bearing is None else benchmark_scenario(controller, bearing, distance)
+    reached, samples, path_length = PINNED_RUNS[case]
+    traj, m = run(sc)
+    assert m.reached == reached
+    assert len(traj) == samples
+    assert abs(m.path_length - path_length) <= 1e-9
 
 
 class TestBenchmarkScenario:
