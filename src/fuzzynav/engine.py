@@ -136,16 +136,10 @@ class CompiledRuleBase(NamedTuple):
     left: _Sampled
 
     @classmethod
-    def of(cls, rb: RuleBase) -> CompiledRuleBase:
-        """Compile ``rb``; a label that does not resolve raises ValueError naming it."""
-        roles = ((rb.angle_var, "antecedent"), (rb.distance_var, "antecedent"),
-                 (rb.right_var, "consequent"), (rb.left_var, "consequent"))
-        for rule in rb.rules:
-            for (var, role), label in zip(roles, rule):
-                if label not in var.labels:
-                    raise ValueError(f"rule {role} '{label}' does not resolve against variable '{var.name}'")
-        rules = tuple(tuple(var.labels.index(label) for (var, _), label in zip(roles, rule)) for rule in rb.rules)
-        return cls(rb.angle_var, rb.distance_var, rules, _sampled(rb.right_var), _sampled(rb.left_var))
+    def of(cls, angle_var: LinguisticVariable, distance_var: LinguisticVariable,
+           right_var: LinguisticVariable, left_var: LinguisticVariable, rules) -> CompiledRuleBase:
+        """Compile from the four variables and each rule's resolved term indices."""
+        return cls(angle_var, distance_var, rules, _sampled(right_var), _sampled(left_var))
 
     def fire(self, e_theta: float, e_d: float) -> tuple[float, ...]:
         """Min-AND strength of every rule, in rule order."""

@@ -63,8 +63,14 @@ class RuleBase:
     left_var: LinguisticVariable
     rules: tuple[Rule, ...]
 
-    # Resolved for inference on first use; raises ValueError on an unresolved label.
-    compiled = cached_property(CompiledRuleBase.of)
+    @cached_property
+    def compiled(self) -> CompiledRuleBase:
+        """Resolved for inference on first use; ValueError names the first unresolved label."""
+        indices, problems = _resolve(self)
+        for p in problems:
+            if p.role is not None:
+                raise ValueError(p.message)
+        return CompiledRuleBase.of(self.angle_var, self.distance_var, self.right_var, self.left_var, indices)
 
     def consequents(self, angle_term: str, distance_term: str) -> tuple[str, str]:
         """(right, left) consequent labels of the cell, for table lookups."""
@@ -199,6 +205,46 @@ def builtin(
     return RuleBase(angle, distance, right, left, tuple(rules))
 
 
+class _Problem(NamedTuple):
+    """A grid problem: ``rule`` indexes ``rb.rules`` (None for a missing cell),
+    ``role`` names an unresolved label's column, and ``first`` indexes the
+    rule that first defined a duplicated cell.
+    """
+
+    message: str
+    rule: int | None = None
+    role: str | None = None
+    first: int | None = None
+
+
+_COLUMNS = (("antecedent", "angle"), ("antecedent", "distance"),
+            ("consequent", "right"), ("consequent", "left"))
+
+
+def _resolve(rb: RuleBase) -> tuple[tuple[tuple[int, int, int, int], ...], list[_Problem]]:
+    """Resolve every rule of ``rb`` to its (angle, distance, right, left) term
+    indices, and list the grid problems: unresolved labels (index -1),
+    duplicate cells and missing cells, in rule order with missing cells last.
+    """
+    variables = (rb.angle_var, rb.distance_var, rb.right_var, rb.left_var)
+    positions = [{label: i for i, label in enumerate(var.labels)} for var in variables]
+    indices = tuple(tuple(pos.get(label, -1) for pos, label in zip(positions, r)) for r in rb.rules)
+    problems: list[_Problem] = []
+    first: dict[tuple[str, str], int] = {}
+    for n, r in enumerate(rb.rules):
+        for (kind, role), pos, label in zip(_COLUMNS, positions, r):
+            if label not in pos:
+                problems.append(_Problem(f"unresolved {kind}: {role} term '{label}' not defined", n, role))
+        cell = (r.angle_term, r.distance_term)
+        if cell in first:
+            problems.append(_Problem(f"duplicate cell: ({cell[0]}, {cell[1]})", n, first=first[cell]))
+        else:
+            first[cell] = n
+    problems += [_Problem(f"incomplete grid: ({a}, {d}) undefined")
+                 for a in rb.angle_var.labels for d in rb.distance_var.labels if (a, d) not in first]
+    return indices, problems
+
+
 def validate(rb: RuleBase) -> list[Issue]:
     """Check the rule-grid invariants; an empty list means the base is valid.
 
@@ -206,25 +252,4 @@ def validate(rb: RuleBase) -> list[Issue]:
     against their variable, duplicated grid cells, and missing cells (the
     grid must be the full angle x distance product).
     """
-    issues: list[Issue] = []
-    columns = (
-        ("antecedent", "angle", set(rb.angle_var.labels)),
-        ("antecedent", "distance", set(rb.distance_var.labels)),
-        ("consequent", "right", set(rb.right_var.labels)),
-        ("consequent", "left", set(rb.left_var.labels)),
-    )
-    seen: set[tuple[str, str]] = set()
-    for r in rb.rules:
-        for (kind, role, labels), label in zip(columns, r):
-            if label not in labels:
-                issues.append(Issue(f"unresolved {kind}: {role} term '{label}' not defined"))
-        cell = (r.angle_term, r.distance_term)
-        if cell in seen:
-            issues.append(Issue(f"duplicate cell: ({r.angle_term}, {r.distance_term})"))
-        seen.add(cell)
-
-    for a in rb.angle_var.labels:
-        for d in rb.distance_var.labels:
-            if (a, d) not in seen:
-                issues.append(Issue(f"incomplete grid: ({a}, {d}) undefined"))
-    return issues
+    return [Issue(p.message) for p in _resolve(rb)[1]]

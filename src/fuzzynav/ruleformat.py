@@ -15,10 +15,11 @@ peak, rules in grid order.  See ``docs/rule_format.md`` for the grammar.
 """
 from __future__ import annotations
 
+import math
 import re
 
 from .membership import LinguisticVariable, Term, TriangularMF
-from .rulebase import Issue, Rule, RuleBase
+from .rulebase import Issue, Rule, RuleBase, _resolve
 
 __all__ = ["RuleDefinitionError", "parse_rulebase", "render_rulebase", "ROLE_NAMES"]
 
@@ -55,7 +56,7 @@ class _Parser:
         self.var_decls: dict[str, tuple[int, float, float]] = {}
         # role -> list of (line, Term)
         self.term_decls: dict[str, list[tuple[int, Term]]] = {}
-        # (line, col-of-first-label, Rule)
+        # (line, role -> label column, Rule)
         self.rule_decls: list[tuple[int, dict[str, int], Rule]] = []
 
     def fail(self, message: str, line: int | None = None, col: int | None = None):
@@ -77,20 +78,28 @@ class _Parser:
                 self.fail(f"expected 'var', 'term' or 'rule', found '{keyword}'", lineno, col)
 
         variables = self._build_variables()
-        rules = self._resolve_rules(variables)
+        if len(variables) < len(ROLE_NAMES):
+            raise RuleDefinitionError(self.issues)  # skip the grid check's cascades
+        rb = RuleBase(*(variables[role] for role in ROLE_NAMES), tuple(r for _, _, r in self.rule_decls))
+        for p in _resolve(rb)[1]:
+            line, cols, _ = self.rule_decls[p.rule] if p.rule is not None else (None, {}, None)
+            if p.first is None:
+                self.fail(p.message, line, cols.get(p.role))
+            else:
+                self.fail(f"{p.message} first defined on line {self.rule_decls[p.first][0]}", line, cols["angle"])
         if self.issues:
             raise RuleDefinitionError(self.issues)
-        return RuleBase(
-            variables["angle"], variables["distance"], variables["right"], variables["left"],
-            tuple(rules),
-        )
+        return rb
 
     def _float(self, token: str, lineno: int, col: int, what: str) -> float | None:
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
-            self.fail(f"expected a number for {what}, found '{token}'", lineno, col)
-            return None
+            value = math.nan
+        if math.isfinite(value):
+            return value
+        self.fail(f"expected a finite number for {what}, found '{token}'", lineno, col)
+        return None
 
     def _parse_var(self, lineno: int, tokens: list[tuple[str, int]]):
         if len(tokens) != 5 or tokens[2][0] != "range":
@@ -173,35 +182,6 @@ class _Parser:
                 self.fail(str(exc), line)
         return variables
 
-    def _resolve_rules(self, variables: dict[str, LinguisticVariable]) -> list[Rule]:
-        if len(variables) < len(ROLE_NAMES):
-            return []  # variable issues already reported; skip cascades
-        label_sets = {role: set(variables[role].labels) for role in ROLE_NAMES}
-        seen: dict[tuple[str, str], int] = {}
-        rules: list[Rule] = []
-        for lineno, cols, rule in self.rule_decls:
-            ok = True
-            for role, label in zip(ROLE_NAMES, rule):
-                if label not in label_sets[role]:
-                    self.fail(f"unknown term '{label}' for variable '{role}'", lineno, cols[role])
-                    ok = False
-            if not ok:
-                continue
-            cell = (rule.angle_term, rule.distance_term)
-            if cell in seen:
-                self.fail(
-                    f"duplicate cell: ({cell[0]}, {cell[1]}) first defined on line {seen[cell]}",
-                    lineno, cols["angle"],
-                )
-                continue
-            seen[cell] = lineno
-            rules.append(rule)
-        for a in variables["angle"].labels:
-            for d in variables["distance"].labels:
-                if (a, d) not in seen:
-                    self.fail(f"incomplete grid: ({a}, {d}) undefined")
-        return rules
-
 
 def parse_rulebase(text: str) -> RuleBase:
     """Parse rule-definition text into a validated RuleBase.
@@ -227,13 +207,7 @@ def render_rulebase(rb: RuleBase) -> str:
     for role, var in variables.items():
         for t in sorted(var.terms, key=lambda t: (t.mf.peak, t.mf.left, t.mf.right, t.label)):
             lines.append(f"term {role} {t.label} tri {t.mf.left!r} {t.mf.peak!r} {t.mf.right!r}")
-    angle_order = {label: i for i, label in enumerate(rb.angle_var.labels)}
-    dist_order = {label: i for i, label in enumerate(rb.distance_var.labels)}
-    fallback = len(angle_order) + len(dist_order)
-    for r in sorted(
-        rb.rules,
-        key=lambda r: (angle_order.get(r.angle_term, fallback), dist_order.get(r.distance_term, fallback)),
-    ):
+    for _, r in sorted(zip(_resolve(rb)[0], rb.rules), key=lambda pair: pair[0][:2]):
         lines.append(
             f"rule if angle is {r.angle_term} and distance is {r.distance_term} "
             f"then right is {r.right_term}, left is {r.left_term}"

@@ -49,6 +49,9 @@ BENCHMARK_BEARING = math.pi / 4
 # collapse; it is floored at this width instead.
 MIN_D_MAX = 1.0
 
+# Bound on max_time / dt, so every run ends within a known number of ticks.
+MAX_TICKS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -75,6 +78,8 @@ class Scenario:
             raise ValueError("scenario field 'dt' must be > 0")
         if not self.max_time >= self.dt:
             raise ValueError("scenario field 'max_time' must be >= dt")
+        if self.max_time / self.dt > MAX_TICKS:
+            raise ValueError(f"scenario fields 'max_time' / 'dt' must not exceed {MAX_TICKS} ticks")
         if not self.goal_tol > 0:
             raise ValueError("scenario field 'goal_tol' must be > 0")
         if not self.angle_tol > 0:

@@ -1,6 +1,6 @@
 import pytest
 
-from fuzzynav import RuleDefinitionError, builtin, parse_rulebase, render_rulebase, validate
+from fuzzynav import RuleBase, RuleDefinitionError, builtin, parse_rulebase, render_rulebase, validate
 
 
 MINIMAL = """\
@@ -64,7 +64,7 @@ class TestParseErrors:
         )
         issues = issues_of(bad)
         assert any(
-            i.message == "unknown term 'XX' for variable 'distance'" and i.line == 14 and i.col is not None
+            i.message == "unresolved antecedent: distance term 'XX' not defined" and i.line == 14 and i.col is not None
             for i in issues
         )
 
@@ -108,9 +108,66 @@ class TestParseErrors:
         issues = issues_of(bad)
         assert any(i.line == 3 and "cover" in i.message for i in issues)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
+    @pytest.mark.parametrize(
+        "old,new,what,line,col",
+        [
+            ("var right range 0.0 2.0", "var right range {} 2.0", "range low", 4, 17),
+            ("term right GO tri 0.0 0.0 2.0", "term right GO tri {} 0.0 2.0", "breakpoint", 10, 19),
+        ],
+    )
+    def test_non_finite_number_rejected_at_token(self, token, old, new, what, line, col):
+        issues = issues_of(MINIMAL.replace(old, new.format(token)))
+        expected = (f"expected a finite number for {what}, found '{token}'", line, col)
+        assert (issues[0].message, issues[0].line, issues[0].col) == expected
+
     def test_error_str_carries_position(self):
         issues = issues_of("var angle range -1 oops\n")
         assert str(issues[0]).startswith("line 1, col 20:")
+
+
+def _with_rules(rb, rules):
+    return RuleBase(rb.angle_var, rb.distance_var, rb.right_var, rb.left_var, tuple(rules))
+
+
+def _defects():
+    rb = builtin(3)
+    rules = list(rb.rules)
+    return {
+        "unknown antecedent": _with_rules(rb, [rules[0]._replace(angle_term="QQ")] + rules[1:]),
+        "unknown consequent": _with_rules(rb, rules[:4] + [rules[4]._replace(left_term="XX")] + rules[5:]),
+        "duplicate cell": _with_rules(rb, rules + [rules[4]._replace(right_term="S")]),
+        "missing cell": _with_rules(rb, rules[:7] + rules[8:]),
+    }
+
+
+class TestOneGridCheck:
+    """``validate`` and the parser report grid problems through one check."""
+
+    @pytest.mark.parametrize("defect", sorted(_defects()))
+    def test_validate_and_parser_report_the_same_messages(self, defect):
+        rb = _defects()[defect]
+        expected = [i.message for i in validate(rb)]
+        assert expected
+        parsed = [i.message.split(" first defined on line ")[0] for i in issues_of(render_rulebase(rb))]
+        assert parsed == expected
+
+    def test_unknown_consequent_is_one_diagnostic_at_its_label(self):
+        bad = MINIMAL.replace(
+            "rule if angle is POS and distance is D then right is GO, left is HI",
+            "rule if angle is POS and distance is D then right is XX, left is HI",
+        )
+        issues = issues_of(bad)
+        assert [(i.message, i.line, i.col) for i in issues] == [
+            ("unresolved consequent: right term 'XX' not defined", 16, 54)
+        ]
+
+    def test_duplicate_names_the_first_definition_line(self):
+        bad = MINIMAL + "rule if angle is NEG and distance is D then right is HI, left is HI\n"
+        issues = issues_of(bad)
+        assert [(i.message, i.line, i.col) for i in issues] == [
+            ("duplicate cell: (NEG, D) first defined on line 14", 18, 18)
+        ]
 
 
 class TestRenderedShape:

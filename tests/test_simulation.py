@@ -16,7 +16,7 @@ from fuzzynav import (
     run,
     scenario_from_dict,
 )
-from fuzzynav.simulation import initial_distance, resolve_controller
+from fuzzynav.simulation import MAX_TICKS, initial_distance, resolve_controller
 
 
 class TestRunLoop:
@@ -218,6 +218,20 @@ class TestScenarioConfig:
                 cfg[key] = bad
             with pytest.raises(ValueError, match=match):
                 scenario_from_dict(cfg)
+
+    def test_tick_budget_names_max_time_and_dt(self, tmp_path):
+        from dataclasses import replace
+
+        at_budget = replace(benchmark_scenario(), dt=1.0, max_time=float(MAX_TICKS))
+        at_budget.validate()
+        match = "'max_time' / 'dt' must not exceed"
+        for over in (replace(at_budget, max_time=MAX_TICKS + 1.0), replace(at_budget, dt=1e-9, max_time=1e9)):
+            with pytest.raises(ValueError, match=match):
+                over.validate()
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({**self.base_config(), "dt": 1e-9, "max_time": 1e9}), encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            load_scenario(str(path))
 
     def test_integer_controller_accepted(self):
         cfg = self.base_config()
