@@ -16,9 +16,9 @@ e_theta, e_d = 0.3, 18.0
 print(f"inputs: e_theta = {e_theta} rad, e_d = {e_d} m\n")
 
 print("1) fuzzify each input (one degree per term, in term order):")
-for var, x in ((rb.angle_var, e_theta), (rb.distance_var, e_d)):
-    degrees = fuzzify(var, x)
-    print(f"   {var.name:<8}", "  ".join(f"{label}={d:.3f}" for label, d in zip(var.labels, degrees)))
+degrees = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
+for var, per_term in zip((rb.angle_var, rb.distance_var), degrees):
+    print(f"   {var.name:<8}", "  ".join(f"{label}={d:.3f}" for label, d in zip(var.labels, per_term)))
 
 strengths = fire_rules(rb, e_theta, e_d)
 print("\n2) fire the rule grid (per-rule strength = min of the two degrees):")
@@ -28,8 +28,8 @@ for rule, s in zip(rb.rules, strengths):
               f"left {rule.left_term} @ {s:.3f}")
 print(f"   the other {sum(s == 0 for s in strengths)} of {len(rb.rules)} rules have strength 0")
 
-right, left = rb.compiled.term_strengths(strengths)
-print("\n3) per-term strengths (max over the rules naming each output term):")
+right, left = rb.compiled.term_strengths(*degrees)
+print("\n3) per-term strengths (max over the fired rules naming each output term):")
 for var, per_term in ((rb.right_var, right), (rb.left_var, left)):
     print(f"   {var.name:>5}:", "  ".join(f"{label}={s:.3f}" for label, s in zip(var.labels, per_term)))
 

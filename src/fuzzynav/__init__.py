@@ -39,7 +39,6 @@ from .kinematics import (
     curvature_radius,
     step_euler,
     step_exact,
-    wheel_angular,
     wheel_to_twist,
     wrap_angle,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "step_exact",
     "uniform_variable",
     "validate",
-    "wheel_angular",
     "wheel_to_twist",
     "wrap_angle",
 ]

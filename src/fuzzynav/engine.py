@@ -1,19 +1,25 @@
 """Two-input, two-output Mamdani inference.
 
-Pipeline: fuzzify both inputs, fire every rule with min-AND, give each
+Pipeline: fuzzify both inputs, fire the rules with min-AND, give each
 output term the max strength of the rules naming it, clip the terms at
 those strengths, aggregate with max, and defuzzify by centroid (trapezoid
 rule on a fixed 8001-point grid).  A rule base is compiled on its first
-inference into term indices and output terms sampled on that grid.  All
-values are immutable and every function is pure, so a rule base can be
-shared freely across threads.
+inference into a table from each (angle term, distance term) cell to its
+rules' consequents and output terms sampled on that grid.  Only the cells
+whose two input degrees are both non-zero fire (at most four for a
+50%-overlap partition), and each compiled base keeps its last few crisp
+results keyed by the two degree tuples, so a repeated degree pair (a robot
+on a saturated plateau of both inputs) reuses its result.  All values are
+immutable, every function is pure and the result memo is a thread-safe
+``functools.lru_cache``, so a rule base can be shared freely across
+threads.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -38,6 +44,12 @@ __all__ = [
 # triangular curves, while one defuzzification stays well under a
 # millisecond.
 _SAMPLES = 8001
+
+# Crisp results each compiled rule base keeps, least recently used first out.
+# A tick whose heading error lies past the outermost angle peak and whose
+# distance is clamped at the universe edge repeats the previous tick's
+# degrees, so a few entries catch the plateaus of a closed-loop run.
+_MEMO_SIZE = 16
 
 # Below this aggregated area the centroid is numerically meaningless; the
 # universe midpoint is returned and flagged instead.
@@ -70,6 +82,16 @@ class AggregatedOutput:
 
     var: LinguisticVariable
     strengths: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.strengths) != len(self.var.terms):
+            raise ValueError(
+                f"strengths has {len(self.strengths)} values for the "
+                f"{len(self.var.terms)} terms of variable '{self.var.name}'"
+            )
+        for s in self.strengths:
+            if not 0.0 <= s <= 1.0:
+                raise ValueError(f"strengths must be finite and in [0, 1], got {s}")
 
     def mu(self, x):
         """Evaluate the aggregated membership curve at ``x`` (scalar or array)."""
@@ -124,22 +146,63 @@ def _centroid(sampled: _Sampled, strengths) -> DefuzzResult:
     return DefuzzResult(float(min(max(moment / area, lo), hi)), False)
 
 
+def _term_strengths(cells, n_right: int, n_left: int, angle, dist) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    right = [0.0] * n_right
+    left = [0.0] * n_left
+    hot = [(d, deg) for d, deg in enumerate(dist) if deg > 0.0]
+    for row, deg in zip(cells, angle):
+        if deg > 0.0:
+            for d, d_deg in hot:
+                s = min(deg, d_deg)
+                for r, l in row[d]:
+                    if s > right[r]:
+                        right[r] = s
+                    if s > left[l]:
+                        left[l] = s
+    return tuple(right), tuple(left)
+
+
 class CompiledRuleBase(NamedTuple):
-    """A rule base resolved for inference: per rule, in rule order, its
-    (angle, distance, right, left) term indices; both output universes sampled.
+    """A rule base resolved for inference.
+
+    ``rules`` holds, per rule in rule order, its (angle, distance, right,
+    left) term indices; ``cells[a][d]`` the (right, left) consequents of the
+    rules on cell (a, d), in rule order (none for a cell the grid leaves
+    out); ``right`` and ``left`` the sampled output universes.
+    ``outputs(angle, dist)`` is the crisp ``InferenceResult`` for the two
+    inputs' degrees, memoised on them.
     """
 
     angle_var: LinguisticVariable
     distance_var: LinguisticVariable
     rules: tuple[tuple[int, int, int, int], ...]
+    cells: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     right: _Sampled
     left: _Sampled
+    outputs: Callable[[tuple[float, ...], tuple[float, ...]], InferenceResult]
 
     @classmethod
     def of(cls, angle_var: LinguisticVariable, distance_var: LinguisticVariable,
            right_var: LinguisticVariable, left_var: LinguisticVariable, rules) -> CompiledRuleBase:
         """Compile from the four variables and each rule's resolved term indices."""
-        return cls(angle_var, distance_var, rules, _sampled(right_var), _sampled(left_var))
+        grid = [[[] for _ in distance_var.terms] for _ in angle_var.terms]
+        for a, d, r, l in rules:
+            grid[a][d].append((r, l))
+        cells = tuple(tuple(tuple(cell) for cell in row) for row in grid)
+        right, left = _sampled(right_var), _sampled(left_var)
+        n_right, n_left = len(right_var.terms), len(left_var.terms)
+
+        # Keys compare by value, so degrees 0.0 and -0.0 share an entry: both
+        # leave their cells unfired, so the result is the same.  The memo
+        # holds the tables, not the compiled base, so no reference cycle
+        # keeps a dropped base's sampled outputs alive.
+        @lru_cache(maxsize=_MEMO_SIZE)
+        def outputs(angle, dist) -> InferenceResult:
+            rs, ls = _term_strengths(cells, n_right, n_left, angle, dist)
+            r, l = _centroid(right, rs), _centroid(left, ls)
+            return InferenceResult(r.value, l.value, r.zero_area, l.zero_area)
+
+        return cls(angle_var, distance_var, rules, cells, right, left, outputs)
 
     def fire(self, e_theta: float, e_d: float) -> tuple[float, ...]:
         """Min-AND strength of every rule, in rule order."""
@@ -147,14 +210,15 @@ class CompiledRuleBase(NamedTuple):
         dist = fuzzify(self.distance_var, e_d)
         return tuple([min(angle[a], dist[d]) for a, d, _, _ in self.rules])
 
-    def term_strengths(self, strengths) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(right, left) per-term strengths: the max over the rules naming each term."""
-        right = [0.0] * len(self.right.curves)
-        left = [0.0] * len(self.left.curves)
-        for s, (_, _, r, l) in zip(strengths, self.rules):
-            right[r] = max(right[r], s)
-            left[l] = max(left[l], s)
-        return tuple(right), tuple(left)
+    def term_strengths(self, angle, dist) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(right, left) per-term strengths from the two inputs' degrees: for
+        each output term, the max min-AND strength of the rules naming it.
+
+        Only cells whose two degrees are both > 0.0 fire.  Any other cell's
+        strength is 0.0 or -0.0, which cannot raise a max that starts at 0.0,
+        so the result equals firing every rule, bit for bit.
+        """
+        return _term_strengths(self.cells, len(self.right.curves), len(self.left.curves), angle, dist)
 
 
 def fire_rules(rb: RuleBase, e_theta: float, e_d: float) -> tuple[float, ...]:
@@ -176,6 +240,4 @@ def infer(rb: RuleBase, e_theta: float, e_d: float) -> InferenceResult:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     compiled = rb.compiled
-    right, left = compiled.term_strengths(compiled.fire(e_theta, e_d))
-    r, l = _centroid(compiled.right, right), _centroid(compiled.left, left)
-    return InferenceResult(r.value, l.value, r.zero_area, l.zero_area)
+    return compiled.outputs(fuzzify(compiled.angle_var, e_theta), fuzzify(compiled.distance_var, e_d))

@@ -21,7 +21,6 @@ __all__ = [
     "curvature_radius",
     "step_euler",
     "step_exact",
-    "wheel_angular",
     "OMEGA_STRAIGHT_TOL",
 ]
 
@@ -138,7 +137,3 @@ def step_exact(pose: Pose, tw: Twist, dt: float) -> Pose:
         theta1,
     )
 
-
-def wheel_angular(ws: WheelSpeeds, p: RobotParams) -> tuple[float, float]:
-    """Wheel angular rates (omega_r, omega_l) = (v_r, v_l) / wheel radius."""
-    return ws.v_r / p.wheel_radius, ws.v_l / p.wheel_radius

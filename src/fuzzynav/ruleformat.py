@@ -52,10 +52,13 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.issues: list[Issue] = []
-        # role -> (line, lo, hi)
-        self.var_decls: dict[str, tuple[int, float, float]] = {}
+        # role -> (line, lo, hi); a bad number is None
+        self.var_decls: dict[str, tuple[int, float | None, float | None]] = {}
         # role -> list of (line, Term)
         self.term_decls: dict[str, list[tuple[int, Term]]] = {}
+        # roles with a declaration already reported as bad: kept declared, so
+        # later lines naming them add no diagnostics, but never built
+        self.broken: set[str] = set()
         # (line, role -> label column, Rule)
         self.rule_decls: list[tuple[int, dict[str, int], Rule]] = []
 
@@ -118,7 +121,7 @@ class _Parser:
         lo = self._float(tokens[3][0], lineno, tokens[3][1], "range low")
         hi = self._float(tokens[4][0], lineno, tokens[4][1], "range high")
         if lo is None or hi is None:
-            return
+            self.broken.add(name)
         self.var_decls[name] = (lineno, lo, hi)
         self.term_decls.setdefault(name, [])
 
@@ -133,11 +136,13 @@ class _Parser:
         label = tokens[2][0]
         breakpoints = [self._float(t, lineno, c, "breakpoint") for t, c in tokens[4:7]]
         if any(b is None for b in breakpoints):
+            self.broken.add(var_name)
             return
         try:
             mf = TriangularMF(*breakpoints)
         except ValueError as exc:
             self.fail(str(exc), lineno, tokens[4][1])
+            self.broken.add(var_name)
             return
         self.term_decls[var_name].append((lineno, Term(label, mf)))
 
@@ -162,7 +167,7 @@ class _Parser:
         self.rule_decls.append((lineno, cols, Rule(*labels)))
 
     def _build_variables(self) -> dict[str, LinguisticVariable]:
-        if not self.var_decls:
+        if not self.var_decls.keys() - self.broken:
             if not self.issues:
                 self.fail("no variables defined")
             return {}
@@ -170,6 +175,8 @@ class _Parser:
         for role in ROLE_NAMES:
             if role not in self.var_decls:
                 self.fail(f"variable '{role}' not defined")
+                continue
+            if role in self.broken:
                 continue
             line, lo, hi = self.var_decls[role]
             terms = self.term_decls[role]

@@ -5,6 +5,7 @@ import pytest
 
 from fuzzynav import (
     AggregatedOutput,
+    InferenceResult,
     LinguisticVariable,
     Rule,
     RuleBase,
@@ -15,8 +16,10 @@ from fuzzynav import (
     fire_rules,
     fuzzify,
     infer,
+    parse_rulebase,
     uniform_variable,
 )
+from fuzzynav import engine
 
 
 def brute_mu(clips, x):
@@ -53,13 +56,16 @@ def brute_centroid(clips, lo, hi, n=100001):
 def aggregate(var, fired):
     """Aggregate (label, strength) consequents of ``var`` through the engine's compiled max.
 
-    One rule per consequent, all on the same antecedent cell; the given
-    strengths stand in for the fired ones.
+    One rule per consequent, each on its own angle term whose degree is the
+    given strength; every rule shares one distance term at degree 1.
     """
-    ref = builtin(3)
-    rules = tuple(Rule("Z", "Z", label, label) for label, _ in fired)
-    rb = RuleBase(ref.angle_var, ref.distance_var, var, var, rules)
-    right, _ = rb.compiled.term_strengths(tuple(s for _, s in fired))
+    n = max(len(fired), 2)
+    angle = uniform_variable("angle", 0.0, 1.0, tuple(f"A{i}" for i in range(n)))
+    distance = builtin(3).distance_var
+    rules = tuple(Rule(f"A{i}", "Z", label, label) for i, (label, _) in enumerate(fired))
+    rb = RuleBase(angle, distance, var, var, rules)
+    degrees = tuple(s for _, s in fired) + (0.0,) * (n - len(fired))
+    right, _ = rb.compiled.term_strengths(degrees, fuzzify(distance, 0.0))
     return AggregatedOutput(var, right)
 
 
@@ -251,7 +257,8 @@ class TestInfer:
             rb = builtin(n, d_max=24.41)
             for _ in range(50):
                 e_theta, e_d = rng.uniform(-4, 4), rng.uniform(-1, 30)
-                right, left = rb.compiled.term_strengths(fire_rules(rb, e_theta, e_d))
+                degrees = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
+                right, left = rb.compiled.term_strengths(*degrees)
                 r = defuzz_centroid(AggregatedOutput(rb.right_var, right))
                 l = defuzz_centroid(AggregatedOutput(rb.left_var, left))
                 assert infer(rb, e_theta, e_d) == (r.value, l.value, r.zero_area, l.zero_area)
@@ -309,6 +316,115 @@ class TestInfer:
         assert K < 1e4
 
 
+def dense_reference(rb, e_theta, e_d):
+    """Every rule fires, each output term takes the max in rule order, then
+    the engine's centroid: ((right, left) per-term strengths, InferenceResult)."""
+    compiled = rb.compiled
+    angle, dist = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
+    right = [0.0] * len(rb.right_var.terms)
+    left = [0.0] * len(rb.left_var.terms)
+    for a, d, r, l in compiled.rules:
+        s = min(angle[a], dist[d])
+        right[r] = max(right[r], s)
+        left[l] = max(left[l], s)
+    rr, ll = engine._centroid(compiled.right, right), engine._centroid(compiled.left, left)
+    return (tuple(right), tuple(left)), InferenceResult(rr.value, ll.value, rr.zero_area, ll.zero_area)
+
+
+def dense_rules_text(seed=3):
+    """A complete rules file whose triangles reach two neighbouring peaks on
+    each side, so up to four degrees per input are non-zero."""
+    rng = np.random.default_rng(seed)
+    universes = {"angle": (-3.0, 3.0, 7), "distance": (0.0, 8.0, 5), "right": (0.0, 2.0, 5), "left": (0.0, 2.0, 5)}
+    lines = [f"var {role} range {lo} {hi}" for role, (lo, hi, _) in universes.items()]
+    for role, (lo, hi, n) in universes.items():
+        step = (hi - lo) / (n - 1)
+        for i in range(n):
+            peak = lo + i * step
+            left = peak if i == 0 else max(lo, peak - 2 * step)
+            right = peak if i == n - 1 else min(hi, peak + 2 * step)
+            lines.append(f"term {role} T{i} tri {left!r} {peak!r} {right!r}")
+    for a in range(7):
+        for d in range(5):
+            r, l = rng.integers(0, 5, size=2)
+            lines.append(f"rule if angle is T{a} and distance is T{d} then right is T{r}, left is T{l}")
+    return "\n".join(lines) + "\n"
+
+
+def sparse_cases():
+    """The built-ins, the dense rules file, and builtin(3) without its N row
+    (a grid the compile accepts; an N heading fires nothing, so zero area)."""
+    rbs = {f"builtin({n})": builtin(n, d_max=24.41) for n in (3, 5, 7)}
+    rbs["dense file"] = parse_rulebase(dense_rules_text())
+    b3 = builtin(3, d_max=24.41)
+    rbs["builtin(3) minus row N"] = RuleBase(b3.angle_var, b3.distance_var, b3.right_var, b3.left_var, b3.rules[3:])
+    return rbs
+
+
+def hexed(values):
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+class TestSparseFiring:
+    @pytest.mark.parametrize("name", sorted(sparse_cases()))
+    def test_infer_is_hex_equal_to_firing_every_rule(self, name):
+        rb = sparse_cases()[name]
+        rng = np.random.default_rng(61)
+        a_lo, a_hi = rb.angle_var.lo, rb.angle_var.hi
+        d_hi = rb.distance_var.hi
+        points = [(rng.uniform(1.2 * a_lo, 1.2 * a_hi), rng.uniform(-0.1 * d_hi, 1.2 * d_hi)) for _ in range(400)]
+        # the clamped and plateau corners, and every pair of breakpoints
+        edges = (a_lo, -math.pi / 6, 0.0, math.pi / 6, a_hi, 2.0 * a_hi)
+        points += [(t, d) for t in edges for d in (0.0, d_hi, 2.0 * d_hi)]
+        for at in rb.angle_var.terms:
+            for dt in rb.distance_var.terms:
+                points += [(x, y) for x in (at.mf.left, at.mf.peak, at.mf.right)
+                           for y in (dt.mf.left, dt.mf.peak, dt.mf.right)]
+        flagged = 0
+        for e_theta, e_d in points:
+            strengths, want = dense_reference(rb, e_theta, e_d)
+            degrees = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
+            got = rb.compiled.term_strengths(*degrees)
+            assert [hexed(s) for s in got] == [hexed(s) for s in strengths], (e_theta, e_d)
+            assert hexed(infer(rb, e_theta, e_d)) == hexed(want), (e_theta, e_d)
+            flagged += want.right_zero_area
+        assert (flagged > 0) == (name == "builtin(3) minus row N")
+
+    def test_dense_file_has_more_than_two_degrees_per_input(self):
+        rb = parse_rulebase(dense_rules_text())
+        assert sum(d > 0 for d in fuzzify(rb.angle_var, 0.5)) == 4
+        assert sum(d > 0 for d in fuzzify(rb.distance_var, 3.0)) == 4
+
+    def test_repeated_degree_pair_reuses_the_result(self):
+        rb = builtin(3, d_max=24.41)
+        memo = rb.compiled.outputs
+        # past the outermost angle peak and beyond d_max: the same degrees
+        first = infer(rb, 3.0, 30.0)
+        hits = memo.cache_info().hits
+        assert infer(rb, 2.5, 1e6) == first
+        assert memo.cache_info().hits == hits + 1
+        for e_theta in np.linspace(-0.5, 0.5, 3 * engine._MEMO_SIZE):
+            infer(rb, float(e_theta), 12.0)
+        info = memo.cache_info()
+        assert info.maxsize == engine._MEMO_SIZE
+        assert info.currsize == engine._MEMO_SIZE
+
+    def test_infer_fuzzifies_through_the_module_binding(self, monkeypatch):
+        # a trace that wraps engine.fuzzify sees both inputs of every call,
+        # memo hits included
+        calls = []
+
+        def counting(var, x):
+            calls.append(var.name)
+            return fuzzify(var, x)
+
+        monkeypatch.setattr(engine, "fuzzify", counting)
+        rb = builtin(5)
+        infer(rb, 3.0, 30.0)
+        infer(rb, 3.0, 30.0)
+        assert calls == ["angle", "distance"] * 2
+
+
 class TestErrorPaths:
     def test_fire_rules_rejects_unresolvable_antecedent(self):
         from fuzzynav import Rule, RuleBase
@@ -327,6 +443,15 @@ class TestErrorPaths:
         inputs = {"e_theta": 0.1, "e_d": 5.0, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             infer(builtin(3), **inputs)
+
+    def test_aggregated_output_rejects_strengths_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^strengths has 1 values for the 3 terms"):
+            AggregatedOutput(builtin(3).right_var, (0.5,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1.5])
+    def test_aggregated_output_rejects_a_strength_outside_0_1(self, bad):
+        with pytest.raises(ValueError, match="^strengths must be finite and in"):
+            AggregatedOutput(builtin(3).right_var, (0.0, bad, 0.2))
 
     def test_zero_area_threshold_boundary(self):
         from fuzzynav.engine import ZERO_AREA_TOL

@@ -11,7 +11,6 @@ from fuzzynav import (
     curvature_radius,
     step_euler,
     step_exact,
-    wheel_angular,
     wheel_to_twist,
     wrap_angle,
 )
@@ -150,14 +149,6 @@ class TestIntegratorAgreement:
                     ang = math.atan2(nxt.y - pose.y, nxt.x - pose.x)
                     off = abs(wrap_angle(ang - pose.theta))
                     assert off <= 1e-12 or abs(off - math.pi) <= 1e-12
-
-
-class TestWheelAngular:
-    def test_examples(self):
-        assert wheel_angular(WheelSpeeds(0.0, 1.0), P) == (10.0, 0.0)
-        assert wheel_angular(WheelSpeeds(0.0, 0.0), P) == (0.0, 0.0)
-        small = RobotParams(wheel_base=0.5, wheel_radius=0.05, v_max=2.0)
-        assert wheel_angular(WheelSpeeds(0.0, 0.5), small) == (10.0, 0.0)
 
 
 class TestTypesAndWrap:

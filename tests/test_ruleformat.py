@@ -119,7 +119,7 @@ class TestParseErrors:
     def test_non_finite_number_rejected_at_token(self, token, old, new, what, line, col):
         issues = issues_of(MINIMAL.replace(old, new.format(token)))
         expected = (f"expected a finite number for {what}, found '{token}'", line, col)
-        assert (issues[0].message, issues[0].line, issues[0].col) == expected
+        assert [(i.message, i.line, i.col) for i in issues] == [expected]
 
     def test_error_str_carries_position(self):
         issues = issues_of("var angle range -1 oops\n")
