@@ -26,7 +26,7 @@ print(f"\nreached:            {metrics.reached}")
 print(f"time to target:     {metrics.time_to_target} s")
 print(f"time angle aligned: {metrics.time_angle_aligned} s")
 print(f"path length:        {metrics.path_length:.3f} m (straight line 24.41 m)")
-print(f"rules evaluated:    {metrics.rule_count} per tick")
+print(f"rule grid:          {metrics.rule_count} rules (at most 4 cells fire per tick)")
 
 out = os.path.join(os.path.dirname(__file__), "benchmark_3mf_trajectory.csv")
 with open(out, "w", encoding="utf-8", newline="\n") as fh:

@@ -13,14 +13,7 @@ from .membership import (
     mf_eval,
     uniform_variable,
 )
-from .engine import (
-    AggregatedOutput,
-    DefuzzResult,
-    InferenceResult,
-    defuzz_centroid,
-    fire_rules,
-    infer,
-)
+from .engine import InferenceResult, infer
 from .rulebase import (
     BUILTIN_SIZES,
     DEFAULT_ANGLE_BAND,
@@ -62,13 +55,11 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatedOutput",
     "BENCHMARK_DISTANCE",
     "BENCHMARK_DT",
     "BUILTIN_SIZES",
     "ComparisonEntry",
     "DEFAULT_ANGLE_BAND",
-    "DefuzzResult",
     "Errors",
     "Goal",
     "InferenceResult",
@@ -92,8 +83,6 @@ __all__ = [
     "compute_errors",
     "control_step",
     "curvature_radius",
-    "defuzz_centroid",
-    "fire_rules",
     "fuzzify",
     "infer",
     "load_scenario",

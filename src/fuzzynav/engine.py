@@ -13,11 +13,14 @@ on a saturated plateau of both inputs) reuses its result.  All values are
 immutable, every function is pure and the result memo is a thread-safe
 ``functools.lru_cache``, so a rule base can be shared freely across
 threads.
+
+``infer`` runs the whole pipeline and is the one entry point; the stages
+are private (``_term_strengths`` fires and takes the per-term max,
+``_centroid`` clips, aggregates and defuzzifies).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -28,16 +31,7 @@ from .membership import LinguisticVariable, fuzzify, mf_eval
 if TYPE_CHECKING:
     from .rulebase import RuleBase
 
-__all__ = [
-    "AggregatedOutput",
-    "CompiledRuleBase",
-    "DefuzzResult",
-    "InferenceResult",
-    "fire_rules",
-    "defuzz_centroid",
-    "infer",
-    "ZERO_AREA_TOL",
-]
+__all__ = ["CompiledRuleBase", "InferenceResult", "infer", "ZERO_AREA_TOL"]
 
 # Uniform-grid resolution for centroid quadrature.  8001 points keeps the
 # trapezoid rule within ~5e-8 of a brute-force reference for clipped
@@ -56,13 +50,6 @@ _MEMO_SIZE = 16
 ZERO_AREA_TOL = 1e-12
 
 
-class DefuzzResult(NamedTuple):
-    """Crisp value plus a flag set when the aggregated area was ~zero."""
-
-    value: float
-    zero_area: bool
-
-
 class InferenceResult(NamedTuple):
     """Crisp wheel velocities with per-output zero-area flags."""
 
@@ -70,39 +57,6 @@ class InferenceResult(NamedTuple):
     v_left: float
     right_zero_area: bool
     left_zero_area: bool
-
-
-@dataclass(frozen=True)
-class AggregatedOutput:
-    """Max-of-clipped-sets membership curve over an output universe.
-
-    ``strengths`` is aligned with ``var.terms``; unfired terms carry 0.
-    The curve is mu(x) = max over terms of min(strength, term membership).
-    """
-
-    var: LinguisticVariable
-    strengths: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.strengths) != len(self.var.terms):
-            raise ValueError(
-                f"strengths has {len(self.strengths)} values for the "
-                f"{len(self.var.terms)} terms of variable '{self.var.name}'"
-            )
-        for s in self.strengths:
-            if not 0.0 <= s <= 1.0:
-                raise ValueError(f"strengths must be finite and in [0, 1], got {s}")
-
-    def mu(self, x):
-        """Evaluate the aggregated membership curve at ``x`` (scalar or array)."""
-        xs = np.asarray(x, dtype=float)
-        out = np.zeros_like(xs)
-        for strength, term in zip(self.strengths, self.var.terms):
-            if strength > 0.0:
-                np.maximum(out, np.minimum(strength, mf_eval(term.mf, xs)), out=out)
-        if xs.ndim == 0:
-            return float(out)
-        return out
 
 
 class _Sampled(NamedTuple):
@@ -123,16 +77,12 @@ def _sample(lo: float, hi: float, mfs: tuple) -> _Sampled:
     return _Sampled(lo, hi, xs, curves)
 
 
-def _sampled(var: LinguisticVariable) -> _Sampled:
-    """Sampled terms of ``var``, keyed by geometry so equal variables share them."""
-    return _sample(var.lo, var.hi, tuple(t.mf for t in var.terms))
-
-
-def _centroid(sampled: _Sampled, strengths) -> DefuzzResult:
-    """Centroid of the terms clipped at ``strengths``, clamped to the universe.
+def _centroid(sampled: _Sampled, strengths) -> tuple[float, bool]:
+    """(crisp value, zero-area flag): the centroid of the terms clipped at
+    ``strengths`` and aggregated with max, clamped to the universe.
 
     Below ``ZERO_AREA_TOL`` of area (nothing fired) the universe midpoint
-    is returned with the ``zero_area`` flag set, so the caller stays total.
+    is returned with the flag set, so the caller stays total.
     """
     lo, hi, xs, curves = sampled
     clips = np.asarray(strengths, dtype=float)
@@ -140,13 +90,20 @@ def _centroid(sampled: _Sampled, strengths) -> DefuzzResult:
     h = (hi - lo) / (_SAMPLES - 1)
     area = h * (mu.sum() - 0.5 * (mu[0] + mu[-1]))
     if area < ZERO_AREA_TOL:
-        return DefuzzResult(0.5 * (lo + hi), True)
+        return 0.5 * (lo + hi), True
     xmu = xs * mu
     moment = h * (xmu.sum() - 0.5 * (xmu[0] + xmu[-1]))
-    return DefuzzResult(float(min(max(moment / area, lo), hi)), False)
+    return float(min(max(moment / area, lo), hi)), False
 
 
 def _term_strengths(cells, n_right: int, n_left: int, angle, dist) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(right, left) per-term strengths from the two inputs' degrees: for
+    each output term, the max min-AND strength of the rules naming it.
+
+    Only cells whose two degrees are both > 0.0 fire.  Any other cell's
+    strength is 0.0 or -0.0, which cannot raise a max that starts at 0.0,
+    so the result equals firing every rule, bit for bit.
+    """
     right = [0.0] * n_right
     left = [0.0] * n_left
     hot = [(d, deg) for d, deg in enumerate(dist) if deg > 0.0]
@@ -165,17 +122,15 @@ def _term_strengths(cells, n_right: int, n_left: int, angle, dist) -> tuple[tupl
 class CompiledRuleBase(NamedTuple):
     """A rule base resolved for inference.
 
-    ``rules`` holds, per rule in rule order, its (angle, distance, right,
-    left) term indices; ``cells[a][d]`` the (right, left) consequents of the
-    rules on cell (a, d), in rule order (none for a cell the grid leaves
-    out); ``right`` and ``left`` the sampled output universes.
+    ``cells[a][d]`` holds the (right, left) consequents of the rules on
+    cell (a, d), in rule order (none for a cell the grid leaves out);
+    ``right`` and ``left`` the sampled output universes.
     ``outputs(angle, dist)`` is the crisp ``InferenceResult`` for the two
     inputs' degrees, memoised on them.
     """
 
     angle_var: LinguisticVariable
     distance_var: LinguisticVariable
-    rules: tuple[tuple[int, int, int, int], ...]
     cells: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     right: _Sampled
     left: _Sampled
@@ -189,46 +144,22 @@ class CompiledRuleBase(NamedTuple):
         for a, d, r, l in rules:
             grid[a][d].append((r, l))
         cells = tuple(tuple(tuple(cell) for cell in row) for row in grid)
-        right, left = _sampled(right_var), _sampled(left_var)
+        # keyed by geometry, so equal right and left variables share one sampling
+        right, left = (_sample(v.lo, v.hi, tuple(t.mf for t in v.terms)) for v in (right_var, left_var))
         n_right, n_left = len(right_var.terms), len(left_var.terms)
 
         # Keys compare by value, so degrees 0.0 and -0.0 share an entry: both
         # leave their cells unfired, so the result is the same.  The memo
         # holds the tables, not the compiled base, so no reference cycle
-        # keeps a dropped base's sampled outputs alive.
+        # keeps a dropped base's sampled outputs alive.  ``_term_strengths``
+        # and ``_centroid`` are module globals, looked up on every miss.
         @lru_cache(maxsize=_MEMO_SIZE)
         def outputs(angle, dist) -> InferenceResult:
             rs, ls = _term_strengths(cells, n_right, n_left, angle, dist)
-            r, l = _centroid(right, rs), _centroid(left, ls)
-            return InferenceResult(r.value, l.value, r.zero_area, l.zero_area)
+            (v_right, right_zero), (v_left, left_zero) = _centroid(right, rs), _centroid(left, ls)
+            return InferenceResult(v_right, v_left, right_zero, left_zero)
 
-        return cls(angle_var, distance_var, rules, cells, right, left, outputs)
-
-    def fire(self, e_theta: float, e_d: float) -> tuple[float, ...]:
-        """Min-AND strength of every rule, in rule order."""
-        angle = fuzzify(self.angle_var, e_theta)
-        dist = fuzzify(self.distance_var, e_d)
-        return tuple([min(angle[a], dist[d]) for a, d, _, _ in self.rules])
-
-    def term_strengths(self, angle, dist) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(right, left) per-term strengths from the two inputs' degrees: for
-        each output term, the max min-AND strength of the rules naming it.
-
-        Only cells whose two degrees are both > 0.0 fire.  Any other cell's
-        strength is 0.0 or -0.0, which cannot raise a max that starts at 0.0,
-        so the result equals firing every rule, bit for bit.
-        """
-        return _term_strengths(self.cells, len(self.right.curves), len(self.left.curves), angle, dist)
-
-
-def fire_rules(rb: RuleBase, e_theta: float, e_d: float) -> tuple[float, ...]:
-    """Min-AND strength of every rule of ``rb``, in rule order, zeros included."""
-    return rb.compiled.fire(e_theta, e_d)
-
-
-def defuzz_centroid(agg: AggregatedOutput) -> DefuzzResult:
-    """Centroid of the aggregated curve by the module's trapezoidal quadrature."""
-    return _centroid(_sampled(agg.var), agg.strengths)
+        return cls(angle_var, distance_var, cells, right, left, outputs)
 
 
 def infer(rb: RuleBase, e_theta: float, e_d: float) -> InferenceResult:

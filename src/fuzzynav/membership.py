@@ -39,6 +39,9 @@ class TriangularMF:
     right: float
 
     def __post_init__(self):
+        for name in ("left", "peak", "right"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"triangle {name} must be finite, got {getattr(self, name)}")
         if not (self.left <= self.peak <= self.right):
             raise ValueError(
                 f"triangle breakpoints must satisfy left <= peak <= right, "
@@ -54,9 +57,6 @@ class TriangularMF:
     @property
     def is_right_shoulder(self) -> bool:
         return self.peak == self.right
-
-    def __call__(self, x):
-        return mf_eval(self, x)
 
 
 def mf_eval(mf: TriangularMF, x):
@@ -83,10 +83,10 @@ class Term(NamedTuple):
 class LinguisticVariable:
     """A named universe [lo, hi] partitioned into labelled fuzzy terms.
 
-    Construction validates the variable: labels must be unique, every
-    membership function must lie within the universe, and the terms must
-    jointly cover the universe (every x has positive membership in at
-    least one term).
+    Construction validates the variable: its bounds must be finite, labels
+    must be unique, every membership function must lie within the
+    universe, and the terms must jointly cover the universe (every x has
+    positive membership in at least one term).
     """
 
     name: str
@@ -95,6 +95,9 @@ class LinguisticVariable:
     terms: tuple[Term, ...]
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"variable '{self.name}': {name} must be finite, got {getattr(self, name)}")
         if not self.lo < self.hi:
             raise ValueError(f"variable '{self.name}': universe must satisfy lo < hi")
         if not self.terms:

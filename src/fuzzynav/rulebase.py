@@ -184,10 +184,10 @@ def builtin(
     """
     if n_mfs not in _GRIDS:
         raise ValueError(f"no built-in rule base of size {n_mfs}; choose one of {BUILTIN_SIZES}")
-    if not d_max > 0:
-        raise ValueError("d_max must be > 0")
-    if not v_max > 0:
-        raise ValueError("v_max must be > 0")
+    if not 0 < d_max < math.inf:
+        raise ValueError(f"d_max must be finite and > 0, got {d_max}")
+    if not 0 < v_max < math.inf:
+        raise ValueError(f"v_max must be finite and > 0, got {v_max}")
     if not 0 < angle_band <= math.pi:
         raise ValueError("angle_band must lie in (0, pi]")
     angle_labels, dist_cols, out_labels, right_grid, left_grid = _GRIDS[n_mfs]

@@ -56,8 +56,9 @@ class _Parser:
         self.var_decls: dict[str, tuple[int, float | None, float | None]] = {}
         # role -> list of (line, Term)
         self.term_decls: dict[str, list[tuple[int, Term]]] = {}
-        # roles with a declaration already reported as bad: kept declared, so
-        # later lines naming them add no diagnostics, but never built
+        # roles with a declaration (a `var` or `term` line) already reported
+        # as bad: kept declared, so later lines naming them add no
+        # diagnostics, but never built
         self.broken: set[str] = set()
         # (line, role -> label column, Rule)
         self.rule_decls: list[tuple[int, dict[str, int], Rule]] = []
@@ -105,31 +106,36 @@ class _Parser:
         return None
 
     def _parse_var(self, lineno: int, tokens: list[tuple[str, int]]):
+        name, name_col = tokens[1] if len(tokens) > 1 else ("", 0)
         if len(tokens) != 5 or tokens[2][0] != "range":
             self.fail("expected 'var <name> range <lo> <hi>'", lineno, tokens[0][1])
-            return
-        name, name_col = tokens[1]
-        if name not in ROLE_NAMES:
+            if name not in ROLE_NAMES or name in self.var_decls:
+                return
+            lo = hi = None  # a malformed role declaration declares the role, broken
+        elif name not in ROLE_NAMES:
             self.fail(
                 f"unexpected variable '{name}' (expected one of {', '.join(ROLE_NAMES)})",
                 lineno, name_col,
             )
             return
-        if name in self.var_decls:
+        elif name in self.var_decls:
             self.fail(f"variable '{name}' already defined", lineno, name_col)
             return
-        lo = self._float(tokens[3][0], lineno, tokens[3][1], "range low")
-        hi = self._float(tokens[4][0], lineno, tokens[4][1], "range high")
+        else:
+            lo = self._float(tokens[3][0], lineno, tokens[3][1], "range low")
+            hi = self._float(tokens[4][0], lineno, tokens[4][1], "range high")
         if lo is None or hi is None:
             self.broken.add(name)
         self.var_decls[name] = (lineno, lo, hi)
         self.term_decls.setdefault(name, [])
 
     def _parse_term(self, lineno: int, tokens: list[tuple[str, int]]):
+        var_name, var_col = tokens[1] if len(tokens) > 1 else ("", 0)
         if len(tokens) != 7 or tokens[3][0] != "tri":
             self.fail("expected 'term <var> <label> tri <left> <peak> <right>'", lineno, tokens[0][1])
+            if var_name in self.var_decls:
+                self.broken.add(var_name)
             return
-        var_name, var_col = tokens[1]
         if var_name not in self.var_decls:
             self.fail(f"unknown variable '{var_name}'", lineno, var_col)
             return

@@ -19,7 +19,6 @@ from fuzzynav import (
     benchmark_scenario,
     builtin,
     compare,
-    defuzz_centroid,
     infer,
     ordering_report,
     parse_rulebase,
@@ -33,7 +32,7 @@ from fuzzynav.cli import main
 from fuzzynav.simulation import initial_distance
 
 from golden_tables import GOLDEN
-from test_engine import aggregate, brute_centroid, clips_of
+from test_engine import aggregate, brute_centroid
 
 
 def ok(line: str):
@@ -70,10 +69,9 @@ def test_defuzzification_oracle():
         var = builtin((3, 5, 7)[i % 3], d_max=24.41).right_var
         k = rng.integers(1, len(var.labels) + 1)
         labels = rng.choice(var.labels, size=k, replace=False)
-        agg = aggregate(var, [(str(l), float(rng.uniform(0.05, 1.0))) for l in labels])
-        value, zero_area = defuzz_centroid(agg)
+        (value, zero_area), clips = aggregate(var, [(str(l), float(rng.uniform(0.05, 1.0))) for l in labels])
         assert not zero_area
-        worst = max(worst, abs(value - brute_centroid(clips_of(agg), var.lo, var.hi)))
+        worst = max(worst, abs(value - brute_centroid(clips, var.lo, var.hi)))
     assert worst <= 1e-6
 
     # symmetric triangle clipped at 1.0: centroid equals the apex
@@ -82,7 +80,7 @@ def test_defuzzification_oracle():
         Term("lo", TriangularMF(0.0, 0.0, 1.0)),
         Term("hi", TriangularMF(1.0, 2.0, 2.0)),
     ))
-    value, _ = defuzz_centroid(aggregate(var, [("mid", 1.0)]))
+    (value, _), _ = aggregate(var, [("mid", 1.0)])
     assert abs(value - 1.0) <= 1e-9
     ok(
         f"defuzzification oracle: worst |centroid error| {worst:.2e} <= 1e-6; "

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fuzzynav import (
-    AggregatedOutput,
     InferenceResult,
     LinguisticVariable,
     Rule,
@@ -12,30 +11,18 @@ from fuzzynav import (
     Term,
     TriangularMF,
     builtin,
-    defuzz_centroid,
-    fire_rules,
     fuzzify,
     infer,
     parse_rulebase,
     uniform_variable,
 )
 from fuzzynav import engine
-
-
-def brute_mu(clips, x):
-    """Independent max-of-clipped evaluation: own triangle formula, no package code."""
-    best = 0.0
-    for (a, b, c), s in clips:
-        if x <= b:
-            d = 1.0 if a == b else max(0.0, (x - a) / (b - a))
-        else:
-            d = 1.0 if b == c else max(0.0, (c - x) / (c - b))
-        best = max(best, min(s, min(d, 1.0)))
-    return best
+from fuzzynav.rulebase import _resolve
 
 
 def brute_mu_vec(clips, xs):
-    """Vectorised twin of brute_mu; branches at the peak instead of min-of-lines."""
+    """Independent max-of-clipped evaluation: own triangle formula, branching
+    at the peak instead of min-of-lines, no package code."""
     best = np.zeros_like(xs)
     for (a, b, c), s in clips:
         rise = np.ones_like(xs) if a == b else (xs - a) / (b - a)
@@ -54,10 +41,13 @@ def brute_centroid(clips, lo, hi, n=100001):
 
 
 def aggregate(var, fired):
-    """Aggregate (label, strength) consequents of ``var`` through the engine's compiled max.
+    """Defuzzify (label, strength) consequents of ``var`` through the memo ``infer`` calls.
 
     One rule per consequent, each on its own angle term whose degree is the
     given strength; every rule shares one distance term at degree 1.
+    Returns the crisp ``(value, zero_area)`` of ``rb.compiled.outputs`` and
+    the clips an independent integrator needs: ((left, peak, right),
+    strength) per fired term, duplicates combined by max.
     """
     n = max(len(fired), 2)
     angle = uniform_variable("angle", 0.0, 1.0, tuple(f"A{i}" for i in range(n)))
@@ -65,68 +55,52 @@ def aggregate(var, fired):
     rules = tuple(Rule(f"A{i}", "Z", label, label) for i, (label, _) in enumerate(fired))
     rb = RuleBase(angle, distance, var, var, rules)
     degrees = tuple(s for _, s in fired) + (0.0,) * (n - len(fired))
-    right, _ = rb.compiled.term_strengths(degrees, fuzzify(distance, 0.0))
-    return AggregatedOutput(var, right)
+    res = rb.compiled.outputs(degrees, fuzzify(distance, 0.0))
+    strengths = {}
+    for label, s in fired:
+        strengths[label] = max(s, strengths.get(label, 0.0))
+    shapes = {t.label: (t.mf.left, t.mf.peak, t.mf.right) for t in var.terms}
+    clips = [(shapes[label], s) for label, s in strengths.items() if s > 0]
+    return (res.v_right, res.right_zero_area), clips
 
 
-def clips_of(agg):
-    return [
-        ((t.mf.left, t.mf.peak, t.mf.right), s)
-        for t, s in zip(agg.var.terms, agg.strengths)
-        if s > 0
-    ]
-
-
-def rule_index(rb, angle_term, distance_term):
-    return next(
-        i for i, r in enumerate(rb.rules) if (r.angle_term, r.distance_term) == (angle_term, distance_term)
-    )
+def per_term_strengths(rb, e_theta, e_d):
+    """{label: strength} per output term, (right, left), from the engine's sparse firing."""
+    compiled = rb.compiled
+    angle, dist = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
+    right, left = engine._term_strengths(compiled.cells, len(rb.right_var.terms), len(rb.left_var.terms), angle, dist)
+    return dict(zip(rb.right_var.labels, right)), dict(zip(rb.left_var.labels, left))
 
 
 class TestFireRules:
+    """Per-term strengths: min-AND per cell, max per output term."""
+
     def test_on_peaks_single_rule(self):
-        # inputs exactly on the peaks of angle N and distance F: one rule fires
+        # inputs exactly on the peaks of angle N and distance F: only rule
+        # (N, F) -> right M, left F fires, at strength 1
         rb = builtin(3, d_max=24.41)
         e_theta = rb.angle_var.term("N").mf.peak
         e_d = rb.distance_var.term("F").mf.peak
-        strengths = fire_rules(rb, e_theta, e_d)
-        fired = [(r.right_term, r.left_term, s) for r, s in zip(rb.rules, strengths) if s > 0]
-        assert fired == [("M", "F", 1.0)]
-        assert strengths[rule_index(rb, "N", "F")] == 1.0
+        right, left = per_term_strengths(rb, e_theta, e_d)
+        assert right == {"S": 0.0, "M": 1.0, "F": 0.0}
+        assert left == {"S": 0.0, "M": 0.0, "F": 1.0}
 
     def test_crossover_two_rules_at_half(self):
         rb = builtin(3, d_max=24.41)
-        # halfway between Z and P angle peaks, distance exactly on F's peak
+        # halfway between Z and P angle peaks, distance exactly on F's peak:
+        # (Z, F) -> (F, F) and (P, F) -> (F, M), both at 0.5
         e_theta = 0.5 * (rb.angle_var.term("Z").mf.peak + rb.angle_var.term("P").mf.peak)
         e_d = rb.distance_var.term("F").mf.peak
-        strengths = fire_rules(rb, e_theta, e_d)
-        assert [s for s in strengths if s > 0] == [0.5, 0.5]
-        assert strengths[rule_index(rb, "Z", "F")] == strengths[rule_index(rb, "P", "F")] == 0.5
+        right, left = per_term_strengths(rb, e_theta, e_d)
+        assert right == {"S": 0.0, "M": 0.0, "F": 0.5}
+        assert left == {"S": 0.0, "M": 0.5, "F": 0.5}
 
     def test_strength_is_min_of_degrees(self):
-        # angle degree 0.3 on P, distance degree 0.7 on F -> strength 0.3
-        rb = builtin(3, d_max=10.0)
-        e_theta = 0.3 * rb.angle_var.term("P").mf.peak
-        e_d = 10.0 - 0.3 * 5.0  # F rises over [5, 10]: degree 0.7 at 8.5
-        strengths = fire_rules(rb, e_theta, e_d)
-        # rule (P, F) -> strength min(0.3, 0.7)
-        assert math.isclose(strengths[rule_index(rb, "P", "F")], 0.3, abs_tol=1e-12)
-
-    def test_min_oracle_on_random_inputs(self):
-        # hand-rolled strength recomputation for every rule, 1000 random inputs
-        rng = np.random.default_rng(42)
-        for n in (3, 5, 7):
-            rb = builtin(n, d_max=24.41)
-            for _ in range(1000 // 3):
-                e_theta = rng.uniform(-4, 4)
-                e_d = rng.uniform(-1, 30)
-                strengths = fire_rules(rb, e_theta, e_d)
-                angle_deg = dict(zip(rb.angle_var.labels, fuzzify(rb.angle_var, e_theta)))
-                dist_deg = dict(zip(rb.distance_var.labels, fuzzify(rb.distance_var, e_d)))
-                expected = tuple(min(angle_deg[r.angle_term], dist_deg[r.distance_term]) for r in rb.rules)
-                assert strengths == expected
-                assert all(0 <= s <= 1 for s in strengths)
-                assert any(s > 0 for s in strengths)
+        # angle degree 0.3 on P alone, distance degree 0.7 on F alone: only
+        # rule (P, F) -> right F, left M fires, at min(0.3, 0.7)
+        compiled = builtin(3, d_max=10.0).compiled
+        angle, dist = (0.0, 0.0, 0.3), (0.0, 0.0, 0.7)  # terms N Z P; Z M F
+        assert engine._term_strengths(compiled.cells, 3, 3, angle, dist) == ((0.0, 0.0, 0.3), (0.0, 0.3, 0.0))
 
 
 def velocity_var():
@@ -134,50 +108,15 @@ def velocity_var():
 
 
 class TestAggregate:
-    def test_single_full_strength_clip_is_the_triangle(self):
-        var = velocity_var()
-        agg = aggregate(var, [("M", 1.0)])
-        xs = np.linspace(0, 2, 101)
-        np.testing.assert_allclose(agg.mu(xs), [TriangularMF(0, 1, 2)(x) for x in xs])
-
-    def test_empty_aggregation_is_zero(self):
-        agg = aggregate(velocity_var(), [])
-        xs = np.linspace(0, 2, 101)
-        assert np.all(agg.mu(xs) == 0.0)
-
-    def test_two_disjoint_plateaus_match_dense_grid_oracle(self):
-        # S and F clipped at 0.5 have disjoint supports: two plateaus of 0.5
-        var = velocity_var()
-        agg = aggregate(var, [("S", 0.5), ("F", 0.5)])
-        clips = clips_of(agg)
-        xs = np.linspace(0, 2, 2001)
-        expected = np.array([brute_mu(clips, x) for x in xs])
-        np.testing.assert_allclose(agg.mu(xs), expected, atol=1e-12)
-        assert agg.mu(0.25) == 0.5 and agg.mu(1.75) == 0.5
-        assert agg.mu(1.0) == 0.0
-
     def test_unknown_label_rejected_by_name(self):
         with pytest.raises(ValueError, match="XX"):
             aggregate(velocity_var(), [("XX", 0.5)])
 
     def test_duplicate_labels_combine_by_max(self):
         var = velocity_var()
-        agg = aggregate(var, [("M", 0.3), ("M", 0.8)])
-        assert agg.strengths[var.labels.index("M")] == 0.8
-
-    def test_curve_bounded_by_max_strength(self):
-        rng = np.random.default_rng(5)
-        var = uniform_variable("v", 0.0, 2.0, ("VS2", "VS1", "S", "M", "F", "VF1", "VF2"))
-        for _ in range(50):
-            fired = [
-                (label, rng.uniform(0, 1))
-                for label in rng.choice(var.labels, size=rng.integers(1, 8), replace=False)
-            ]
-            agg = aggregate(var, fired)
-            mu = agg.mu(np.linspace(0, 2, 501))
-            assert np.all(mu >= 0)
-            assert np.all(mu <= max(s for _, s in fired) + 1e-15)
-            assert np.all(mu <= 1.0)
+        combined, _ = aggregate(var, [("S", 0.3), ("S", 0.8), ("F", 0.5)])
+        assert combined == aggregate(var, [("S", 0.8), ("F", 0.5)])[0]
+        assert combined != aggregate(var, [("S", 0.3), ("F", 0.5)])[0]
 
 
 class TestDefuzzCentroid:
@@ -188,8 +127,7 @@ class TestDefuzzCentroid:
             Term("lo", TriangularMF(0.0, 0.0, 1.0)),
             Term("hi", TriangularMF(1.0, 2.0, 2.0)),
         ))
-        agg = aggregate(var, [("mid", 1.0)])
-        value, zero_area = defuzz_centroid(agg)
+        (value, zero_area), _ = aggregate(var, [("mid", 1.0)])
         assert not zero_area
         assert abs(value - 1.0) <= 1e-9
 
@@ -200,8 +138,7 @@ class TestDefuzzCentroid:
             Term("cover_lo", TriangularMF(0.0, 0.0, 1.6)),
             Term("cover_hi", TriangularMF(0.4, 2.0, 2.0)),
         ))
-        agg = aggregate(var, [("a", 0.6), ("b", 0.6)])
-        value, zero_area = defuzz_centroid(agg)
+        (value, zero_area), _ = aggregate(var, [("a", 0.6), ("b", 0.6)])
         assert not zero_area
         assert abs(value - 0.5 * (0.25 + 1.75)) <= 1e-9
 
@@ -215,16 +152,14 @@ class TestDefuzzCentroid:
             k = rng.integers(1, len(var.labels) + 1)
             labels = rng.choice(var.labels, size=k, replace=False)
             fired = [(str(lab), float(rng.uniform(0.05, 1.0))) for lab in labels]
-            agg = aggregate(var, fired)
-            value, zero_area = defuzz_centroid(agg)
+            (value, zero_area), clips = aggregate(var, fired)
             assert not zero_area
-            expected = brute_centroid(clips_of(agg), var.lo, var.hi)
+            expected = brute_centroid(clips, var.lo, var.hi)
             worst = max(worst, abs(value - expected))
         assert worst <= 1e-6, f"worst centroid error {worst:.3e}"
 
     def test_zero_area_flags_and_returns_midpoint(self):
-        agg = aggregate(velocity_var(), [])
-        value, zero_area = defuzz_centroid(agg)
+        (value, zero_area), _ = aggregate(velocity_var(), [])
         assert zero_area
         assert value == 1.0  # universe midpoint of [0, 2]
 
@@ -233,7 +168,7 @@ class TestDefuzzCentroid:
         var = velocity_var()
         for _ in range(100):
             fired = [("S", rng.uniform(0, 1)), ("F", rng.uniform(0, 1))]
-            value, _ = defuzz_centroid(aggregate(var, fired))
+            (value, _), _ = aggregate(var, fired)
             assert 0.0 <= value <= 2.0
 
     def test_clip_scaling_leaves_symmetric_centroid_fixed(self):
@@ -246,23 +181,11 @@ class TestDefuzzCentroid:
         ))
         rng = np.random.default_rng(23)
         for c in rng.uniform(0.01, 1.0, 25):
-            value, _ = defuzz_centroid(aggregate(var, [("mid", float(c))]))
+            (value, _), _ = aggregate(var, [("mid", float(c))])
             assert abs(value - 1.0) <= 1e-9
 
 
 class TestInfer:
-    def test_stages_compose_to_infer(self):
-        rng = np.random.default_rng(43)
-        for n in (3, 5, 7):
-            rb = builtin(n, d_max=24.41)
-            for _ in range(50):
-                e_theta, e_d = rng.uniform(-4, 4), rng.uniform(-1, 30)
-                degrees = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
-                right, left = rb.compiled.term_strengths(*degrees)
-                r = defuzz_centroid(AggregatedOutput(rb.right_var, right))
-                l = defuzz_centroid(AggregatedOutput(rb.left_var, left))
-                assert infer(rb, e_theta, e_d) == (r.value, l.value, r.zero_area, l.zero_area)
-
     def test_compiled_once_and_outputs_share_samples(self):
         rb = builtin(7, d_max=24.41)
         assert rb.compiled is rb.compiled
@@ -317,18 +240,19 @@ class TestInfer:
 
 
 def dense_reference(rb, e_theta, e_d):
-    """Every rule fires, each output term takes the max in rule order, then
-    the engine's centroid: ((right, left) per-term strengths, InferenceResult)."""
+    """Every rule fires (min-AND of its two degrees), each output term takes
+    the max in rule order, then the engine's centroid: ((right, left)
+    per-term strengths, InferenceResult)."""
     compiled = rb.compiled
     angle, dist = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
     right = [0.0] * len(rb.right_var.terms)
     left = [0.0] * len(rb.left_var.terms)
-    for a, d, r, l in compiled.rules:
+    for a, d, r, l in _resolve(rb)[0]:
         s = min(angle[a], dist[d])
         right[r] = max(right[r], s)
         left[l] = max(left[l], s)
-    rr, ll = engine._centroid(compiled.right, right), engine._centroid(compiled.left, left)
-    return (tuple(right), tuple(left)), InferenceResult(rr.value, ll.value, rr.zero_area, ll.zero_area)
+    (v_right, right_zero), (v_left, left_zero) = engine._centroid(compiled.right, right), engine._centroid(compiled.left, left)
+    return (tuple(right), tuple(left)), InferenceResult(v_right, v_left, right_zero, left_zero)
 
 
 def dense_rules_text(seed=3):
@@ -383,9 +307,10 @@ class TestSparseFiring:
         flagged = 0
         for e_theta, e_d in points:
             strengths, want = dense_reference(rb, e_theta, e_d)
-            degrees = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
-            got = rb.compiled.term_strengths(*degrees)
+            got = tuple(tuple(per_term.values()) for per_term in per_term_strengths(rb, e_theta, e_d))
             assert [hexed(s) for s in got] == [hexed(s) for s in strengths], (e_theta, e_d)
+            assert all(0.0 <= s <= 1.0 for s in got[0] + got[1])
+            assert max(got[0]) > 0.0 or name == "builtin(3) minus row N", (e_theta, e_d)
             assert hexed(infer(rb, e_theta, e_d)) == hexed(want), (e_theta, e_d)
             flagged += want.right_zero_area
         assert (flagged > 0) == (name == "builtin(3) minus row N")
@@ -424,9 +349,24 @@ class TestSparseFiring:
         infer(rb, 3.0, 30.0)
         assert calls == ["angle", "distance"] * 2
 
+    def test_memo_miss_fires_and_defuzzifies_through_the_module_bindings(self, monkeypatch):
+        # a trace that wraps engine._term_strengths and engine._centroid sees
+        # every memo miss (one firing, one centroid per output) and no hit
+        calls = []
+        for name in ("_term_strengths", "_centroid"):
+            def counting(*args, _name=name, _fn=getattr(engine, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(engine, name, counting)
+        rb = builtin(5)
+        infer(rb, 3.0, 30.0)
+        infer(rb, 3.0, 30.0)
+        assert calls == ["_term_strengths", "_centroid", "_centroid"]
+
 
 class TestErrorPaths:
-    def test_fire_rules_rejects_unresolvable_antecedent(self):
+    def test_infer_rejects_unresolvable_antecedent(self):
         from fuzzynav import Rule, RuleBase
 
         rb = builtin(3)
@@ -435,7 +375,7 @@ class TestErrorPaths:
             (Rule("QQ", "F", "M", "F"),) + rb.rules[1:],
         )
         with pytest.raises(ValueError, match="antecedent"):
-            fire_rules(broken, 0.0, 0.0)
+            infer(broken, 0.0, 0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["e_theta", "e_d"])
@@ -444,15 +384,6 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             infer(builtin(3), **inputs)
 
-    def test_aggregated_output_rejects_strengths_of_the_wrong_length(self):
-        with pytest.raises(ValueError, match="^strengths has 1 values for the 3 terms"):
-            AggregatedOutput(builtin(3).right_var, (0.5,))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1.5])
-    def test_aggregated_output_rejects_a_strength_outside_0_1(self, bad):
-        with pytest.raises(ValueError, match="^strengths must be finite and in"):
-            AggregatedOutput(builtin(3).right_var, (0.0, bad, 0.2))
-
     def test_zero_area_threshold_boundary(self):
         from fuzzynav.engine import ZERO_AREA_TOL
 
@@ -460,7 +391,7 @@ class TestErrorPaths:
         # clip area ~ strength^2 for a triangle; 1e-13 strength sits far
         # below the tolerance, 1e-5 safely above it
         assert ZERO_AREA_TOL == 1e-12
-        tiny = defuzz_centroid(AggregatedOutput(var, (0.0, 1e-13, 0.0)))
-        assert tiny.zero_area and tiny.value == 1.0
-        small = defuzz_centroid(AggregatedOutput(var, (0.0, 1e-5, 0.0)))
-        assert not small.zero_area
+        (value, zero_area), _ = aggregate(var, [("M", 1e-13)])
+        assert zero_area and value == 1.0
+        (_, zero_area), _ = aggregate(var, [("M", 1e-5)])
+        assert not zero_area

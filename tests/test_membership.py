@@ -56,6 +56,13 @@ class TestTriangularEval:
         with pytest.raises(ValueError):
             TriangularMF(1, 1, 1)  # degenerate point support
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["left", "peak", "right"])
+    def test_non_finite_breakpoint_rejected_by_name(self, field, bad):
+        points = {"left": -1.0, "peak": 0.0, "right": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"^triangle {field} must be finite"):
+            TriangularMF(**points)
+
 
 def three_term_var():
     # peaks -1, 0, 1 with 50% overlap on [-1, 1]
@@ -102,6 +109,14 @@ class TestFuzzify:
 
 
 class TestVariableValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lo", "hi"])
+    def test_rejects_non_finite_bound_by_name(self, field, bad):
+        bounds = {"lo": 0.0, "hi": 1.0, field: bad}
+        terms = (Term("a", TriangularMF(0, 0, 1)), Term("b", TriangularMF(0, 1, 1)))
+        with pytest.raises(ValueError, match=f"^variable 'v': {field} must be finite"):
+            LinguisticVariable("v", terms=terms, **bounds)
+
     def test_rejects_empty_universe(self):
         with pytest.raises(ValueError, match="lo < hi"):
             LinguisticVariable("v", 1.0, 1.0, (Term("a", TriangularMF(0, 0.5, 1)),))

@@ -60,6 +60,12 @@ class TestBuiltinGrids:
         with pytest.raises(ValueError, match="angle_band"):
             builtin(3, angle_band=4.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["d_max", "v_max"])
+    def test_non_finite_scale_rejected_by_name(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+            builtin(3, **{field: bad})
+
 
 class TestBuiltinLayout:
     def test_angle_universe_and_banded_peaks(self):

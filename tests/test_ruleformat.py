@@ -24,6 +24,9 @@ rule if angle is POS and distance is E then right is HI, left is GO
 """
 
 
+TERM_SHAPE = "expected 'term <var> <label> tri <left> <peak> <right>'"
+
+
 def issues_of(text):
     with pytest.raises(RuleDefinitionError) as excinfo:
         parse_rulebase(text)
@@ -108,17 +111,25 @@ class TestParseErrors:
         issues = issues_of(bad)
         assert any(i.line == 3 and "cover" in i.message for i in issues)
 
-    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
     @pytest.mark.parametrize(
-        "old,new,what,line,col",
+        "old,new,expected",
         [
-            ("var right range 0.0 2.0", "var right range {} 2.0", "range low", 4, 17),
-            ("term right GO tri 0.0 0.0 2.0", "term right GO tri {} 0.0 2.0", "breakpoint", 10, 19),
+            (old, new.format(token), (f"expected a finite number for {what}, found '{token}'", line, col))
+            for token in ("inf", "-inf", "nan", "1e999")
+            for old, new, what, line, col in (
+                ("var right range 0.0 2.0", "var right range {} 2.0", "range low", 4, 17),
+                ("term right GO tri 0.0 0.0 2.0", "term right GO tri {} 0.0 2.0", "breakpoint", 10, 19),
+            )
+        ] + [
+            # a malformed line for a declared role: the role is not built,
+            # so its other lines add no reports
+            ("var right range 0.0 2.0", "var right range 0.0", ("expected 'var <name> range <lo> <hi>'", 4, 1)),
+            ("term right GO tri 0.0 0.0 2.0", "term right GO tri 0.0 0.0 2.0 extra", (TERM_SHAPE, 10, 1)),
+            ("term right GO tri 0.0 0.0 2.0", "term right GO trap 0.0 0.0 2.0", (TERM_SHAPE, 10, 1)),
         ],
     )
-    def test_non_finite_number_rejected_at_token(self, token, old, new, what, line, col):
-        issues = issues_of(MINIMAL.replace(old, new.format(token)))
-        expected = (f"expected a finite number for {what}, found '{token}'", line, col)
+    def test_one_bad_line_gives_one_diagnostic(self, old, new, expected):
+        issues = issues_of(MINIMAL.replace(old, new))
         assert [(i.message, i.line, i.col) for i in issues] == [expected]
 
     def test_error_str_carries_position(self):
