@@ -15,12 +15,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .rulebase import builtin, BUILTIN_SIZES
 from .ruleformat import RuleDefinitionError, parse_rulebase, render_rulebase
 from .simulation import (
-    Metrics,
     TrajectorySample,
     compare,
     load_scenario,
@@ -51,6 +50,20 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
+def _fmt_time(value: float | None, absent: str) -> str:
+    return absent if value is None else _fmt(value)
+
+
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
+def _write_text(path: str, text: str):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _write_trajectory_csv(path: str, trajectory: tuple[TrajectorySample, ...]):
     lines = [CSV_HEADER]
     for s in trajectory:
@@ -63,54 +76,34 @@ def _write_trajectory_csv(path: str, trajectory: tuple[TrajectorySample, ...]):
                 )
             )
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _metrics_dict(m: Metrics) -> dict:
-    return {
-        "reached": m.reached,
-        "time_to_target": m.time_to_target,
-        "time_angle_aligned": m.time_angle_aligned,
-        "path_length": m.path_length,
-        "rule_count": m.rule_count,
-    }
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, data: dict):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(data, indent=2) + "\n")
 
 
-def cmd_run(scenario_path: str, controller: str | None, out_dir: str, quiet: bool = False) -> tuple[int, dict]:
-    """Run one scenario; returns (exit code, run report)."""
+def cmd_run(scenario_path: str, controller: str | None, out_dir: str, quiet: bool = False) -> int:
+    """Run one scenario and write its artifacts; returns the exit code."""
+    csv_path = os.path.join(out_dir, "trajectory.csv")
+    json_path = os.path.join(out_dir, "metrics.json")
     try:
         sc = load_scenario(scenario_path)
         if controller is not None:
             sc = replace(sc, controller=controller)
         trajectory, metrics = run(sc)
+        os.makedirs(out_dir, exist_ok=True)
+        _write_trajectory_csv(csv_path, tuple(trajectory))
+        _write_json(json_path, asdict(metrics))
     except (ValueError, RuleDefinitionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG, {}
-
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "trajectory.csv")
-    json_path = os.path.join(out_dir, "metrics.json")
-    _write_trajectory_csv(csv_path, tuple(trajectory))
-    _write_json(json_path, _metrics_dict(metrics))
-    report = {
-        "scenario": scenario_to_dict(sc),
-        "metrics": _metrics_dict(metrics),
-        "artifacts": {"trajectory_csv": csv_path, "metrics_json": json_path},
-    }
+        return _error(exc)
     if not quiet:
         state = "reached" if metrics.reached else "NOT reached"
         when = f" at t={_fmt(metrics.time_to_target)} s" if metrics.reached else ""
         print(f"goal {state}{when}; path length {_fmt(metrics.path_length)} m")
         print(f"trajectory: {csv_path}")
         print(f"metrics:    {json_path}")
-    return (EXIT_OK if metrics.reached else EXIT_NOT_REACHED), report
+    return EXIT_OK if metrics.reached else EXIT_NOT_REACHED
 
 
 def _comparison_csv_row(entry) -> str:
@@ -120,48 +113,44 @@ def _comparison_csv_row(entry) -> str:
     cells = (
         entry.controller,
         str(m.rule_count),
-        _fmt(m.time_to_target) if m.time_to_target is not None else "",
-        _fmt(m.time_angle_aligned) if m.time_angle_aligned is not None else "",
+        _fmt_time(m.time_to_target, ""),
+        _fmt_time(m.time_angle_aligned, ""),
         _fmt(m.path_length),
         "true" if m.reached else "false",
     )
     return ",".join(cells)
 
 
-def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> tuple[int, dict]:
-    """Run the three built-in controllers on one scenario; returns (exit code, table)."""
+def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> int:
+    """Run the three built-in controllers on one scenario and write the table; returns the exit code."""
     try:
         sc = load_scenario(scenario_path)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG, {}
+        return _error(exc)
 
     entries = compare(sc)
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for entry in entries:
-        if entry.trajectory is not None:
-            _write_trajectory_csv(
-                os.path.join(out_dir, f"trajectory_{entry.controller}.csv"), entry.trajectory
-            )
-            _write_json(
-                os.path.join(out_dir, f"metrics_{entry.controller}.json"),
-                _metrics_dict(entry.metrics),
-            )
-        rows.append(
-            {
-                "controller": entry.controller,
-                "metrics": _metrics_dict(entry.metrics) if entry.metrics else None,
-                "error": entry.error,
-            }
-        )
+    rows = [
+        {"controller": e.controller, "metrics": asdict(e.metrics) if e.metrics else None, "error": e.error}
+        for e in entries
+    ]
     ordering = ordering_report(entries)
-    table = {"scenario": scenario_to_dict(sc), "rows": rows, "ordering": ordering}
     csv_lines = ["controller,rule_count,time_to_target,time_angle_aligned,path_length,reached"]
     csv_lines += [_comparison_csv_row(e) for e in entries]
-    with open(os.path.join(out_dir, "comparison.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(csv_lines) + "\n")
-    _write_json(os.path.join(out_dir, "comparison.json"), table)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for entry in entries:
+            if entry.trajectory is not None:
+                _write_trajectory_csv(
+                    os.path.join(out_dir, f"trajectory_{entry.controller}.csv"), entry.trajectory
+                )
+                _write_json(os.path.join(out_dir, f"metrics_{entry.controller}.json"), asdict(entry.metrics))
+        _write_text(os.path.join(out_dir, "comparison.csv"), "\n".join(csv_lines) + "\n")
+        _write_json(
+            os.path.join(out_dir, "comparison.json"),
+            {"scenario": scenario_to_dict(sc), "rows": rows, "ordering": ordering},
+        )
+    except OSError as exc:
+        return _error(exc)
 
     if not quiet:
         print(f"{'ctrl':>4}  {'rules':>5}  {'t_target':>9}  {'t_aligned':>9}  {'path':>8}  reached")
@@ -170,8 +159,7 @@ def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> tuple[
             if m is None:
                 print(f"{entry.controller:>4}  run failed: {entry.error}")
                 continue
-            t_target = _fmt(m.time_to_target) if m.time_to_target is not None else "-"
-            t_align = _fmt(m.time_angle_aligned) if m.time_angle_aligned is not None else "-"
+            t_target, t_align = _fmt_time(m.time_to_target, "-"), _fmt_time(m.time_angle_aligned, "-")
             print(
                 f"{entry.controller:>4}  {m.rule_count:>5}  {t_target:>9}  {t_align:>9}  "
                 f"{_fmt(m.path_length):>8}  {'yes' if m.reached else 'no'}"
@@ -182,11 +170,9 @@ def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> tuple[
             held = "holds" if ordering["three_mf_fastest"] else "does not hold"
             print(f"fastest controller: {ordering['fastest']} (3-MF-fastest ranking {held})")
 
-    failed = any(e.metrics is None for e in entries)
-    all_reached = all(e.metrics is not None and e.metrics.reached for e in entries)
-    if failed:
-        return EXIT_CONFIG, table
-    return (EXIT_OK if all_reached else EXIT_NOT_REACHED), table
+    if any(e.metrics is None for e in entries):
+        return EXIT_CONFIG
+    return EXIT_OK if all(e.metrics.reached for e in entries) else EXIT_NOT_REACHED
 
 
 def cmd_validate(rules_path: str, quiet: bool = False) -> int:
@@ -195,8 +181,9 @@ def cmd_validate(rules_path: str, quiet: bool = False) -> int:
         with open(rules_path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error(exc)
+    except UnicodeDecodeError as exc:
+        return _error(f"{rules_path}: {exc}")
     try:
         rb = parse_rulebase(text)
     except RuleDefinitionError as exc:
@@ -212,11 +199,9 @@ def cmd_export_rules(size: str, out_path: str, quiet: bool = False) -> int:
     """Write a built-in rule base in canonical rule-definition form."""
     text = render_rulebase(builtin(int(size)))
     try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_text(out_path, text)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error(exc)
     if not quiet:
         print(f"wrote {out_path}")
     return EXIT_OK
@@ -252,11 +237,9 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
-        code, _ = cmd_run(args.scenario, args.controller, args.out, args.quiet)
-        return code
+        return cmd_run(args.scenario, args.controller, args.out, args.quiet)
     if args.command == "compare":
-        code, _ = cmd_compare(args.scenario, args.out, args.quiet)
-        return code
+        return cmd_compare(args.scenario, args.out, args.quiet)
     if args.command == "validate":
         return cmd_validate(args.rules, args.quiet)
     return cmd_export_rules(args.controller, args.out, args.quiet)

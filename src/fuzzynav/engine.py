@@ -68,7 +68,11 @@ class _Sampled(NamedTuple):
     curves: np.ndarray  # one row per term
 
 
-@lru_cache(maxsize=64)
+# Keyed by output geometry.  Four entries hold the three built-ins' outputs
+# at one v_max (right and left share one) with one to spare.  An entry
+# takes 0.26-0.51 MB, and a caller that cycles through more geometries than
+# the cache holds gets no hits from it, so a larger cache only holds memory.
+@lru_cache(maxsize=4)
 def _sample(lo: float, hi: float, mfs: tuple) -> _Sampled:
     xs = np.linspace(lo, hi, _SAMPLES)
     curves = np.vstack([mf_eval(mf, xs) for mf in mfs])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 from .kinematics import Pose, RobotParams, WheelSpeeds, _require_finite, step_euler, wheel_to_twist
@@ -138,7 +138,7 @@ def resolve_controller(sc: Scenario) -> tuple[str, RuleBase]:
     try:
         with open(spec, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(
             f"scenario field 'controller': '{spec}' is not one of 3, 5, 7 "
             f"and not a readable rules file ({exc})"
@@ -160,7 +160,6 @@ def run(sc: Scenario) -> tuple[list[TrajectorySample], Metrics]:
     trajectory: list[TrajectorySample] = []
     pose = sc.start
     k = 0
-    reached = False
     time_aligned: float | None = None
     path_length = 0.0
     while True:
@@ -168,11 +167,8 @@ def run(sc: Scenario) -> tuple[list[TrajectorySample], Metrics]:
         errors = compute_errors(pose, sc.goal)
         if time_aligned is None and abs(errors.e_theta) <= sc.angle_tol:
             time_aligned = t
-        if errors.e_d <= sc.goal_tol:
-            trajectory.append(TrajectorySample(t, pose, errors, WheelSpeeds(0.0, 0.0)))
-            reached = True
-            break
-        if t >= sc.max_time:
+        reached = errors.e_d <= sc.goal_tol
+        if reached or t >= sc.max_time:
             trajectory.append(TrajectorySample(t, pose, errors, WheelSpeeds(0.0, 0.0)))
             break
         wheels = control_step(rb, errors)
@@ -249,10 +245,6 @@ def benchmark_scenario(
     )
 
 
-_SCENARIO_KEYS = {"start", "goal", "dt", "max_time", "goal_tol", "angle_tol", "params", "controller"}
-_START_KEYS = {"x", "y", "theta"}
-_GOAL_KEYS = {"x", "y"}
-_PARAMS_KEYS = {"wheel_base", "wheel_radius", "v_max"}
 _NUMBER_FIELDS = ("dt", "max_time", "goal_tol", "angle_tol")  # finite numbers, all optional
 
 
@@ -269,39 +261,30 @@ def _number(mapping: dict, key: str, where: str) -> float:
     return float(value)
 
 
+def _record(cls, data: dict, where: str, **defaults):
+    """Build ``cls`` from the mapping ``data[where]``, whose keys must be
+    fields of ``cls`` and whose values must be numbers; ``defaults`` fill
+    fields that the config may omit and ``cls`` gives no default."""
+    mapping = data[where]
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.name not in defaults]
+    if not isinstance(mapping, dict) or not set(required) <= set(mapping):
+        need = f" with {' and '.join(required)}" if required else ""
+        raise ValueError(f"scenario field '{where}' must be a mapping{need}")
+    _check_keys(mapping, {f.name for f in fields(cls)}, where)
+    return cls(**{**defaults, **{k: _number(mapping, k, where) for k in mapping}})
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from plain config data, rejecting unknown keys."""
     if not isinstance(data, dict):
         raise ValueError("scenario config must be a mapping")
-    _check_keys(data, _SCENARIO_KEYS, "scenario")
+    _check_keys(data, {f.name for f in fields(Scenario)}, "scenario")
     for required in ("start", "goal"):
         if required not in data:
             raise ValueError(f"scenario field '{required}' is required")
-
-    start_map = data["start"]
-    if not isinstance(start_map, dict) or not {"x", "y"} <= set(start_map):
-        raise ValueError("scenario field 'start' must be a mapping with x and y (theta optional)")
-    _check_keys(start_map, _START_KEYS, "start")
-    start = Pose(
-        _number(start_map, "x", "start"),
-        _number(start_map, "y", "start"),
-        _number(start_map, "theta", "start") if "theta" in start_map else 0.0,
-    )
-
-    goal_map = data["goal"]
-    if not isinstance(goal_map, dict) or not _GOAL_KEYS <= set(goal_map):
-        raise ValueError("scenario field 'goal' must be a mapping with x and y")
-    _check_keys(goal_map, _GOAL_KEYS, "goal")
-    goal = Goal(_number(goal_map, "x", "goal"), _number(goal_map, "y", "goal"))
-
-    params = RobotParams()
-    if "params" in data:
-        params_map = data["params"]
-        if not isinstance(params_map, dict):
-            raise ValueError("scenario field 'params' must be a mapping")
-        _check_keys(params_map, _PARAMS_KEYS, "params")
-        kwargs = {k: _number(params_map, k, "params") for k in params_map}
-        params = RobotParams(**kwargs)
+    start = _record(Pose, data, "start", theta=0.0)
+    goal = _record(Goal, data, "goal")
+    params = _record(RobotParams, data, "params") if "params" in data else RobotParams()
 
     controller = data.get("controller", "3")
     if isinstance(controller, int) and not isinstance(controller, bool):
@@ -316,21 +299,8 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    """Config-shaped echo of a scenario (controller rendered as its label)."""
-    return {
-        "start": {"x": sc.start.x, "y": sc.start.y, "theta": sc.start.theta},
-        "goal": {"x": sc.goal.x, "y": sc.goal.y},
-        "dt": sc.dt,
-        "max_time": sc.max_time,
-        "goal_tol": sc.goal_tol,
-        "angle_tol": sc.angle_tol,
-        "params": {
-            "wheel_base": sc.params.wheel_base,
-            "wheel_radius": sc.params.wheel_radius,
-            "v_max": sc.params.v_max,
-        },
-        "controller": sc.controller if isinstance(sc.controller, str) else "custom",
-    }
+    """Config-shaped echo of a scenario (a RuleBase controller rendered as "custom")."""
+    return asdict(sc if isinstance(sc.controller, str) else replace(sc, controller="custom"))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -344,4 +314,6 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return scenario_from_dict(data)

@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from fuzzynav import builtin, parse_rulebase, render_rulebase
+from fuzzynav import Metrics, builtin, parse_rulebase, render_rulebase
 from fuzzynav.cli import CSV_HEADER, main
 
 
@@ -39,9 +40,9 @@ class TestRunCommand:
         assert len(lines) > 2
         assert "\r" not in csv_text
         metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
-        assert set(metrics) == {
+        assert list(metrics) == [f.name for f in fields(Metrics)] == [
             "reached", "time_to_target", "time_angle_aligned", "path_length", "rule_count",
-        }
+        ]
         assert metrics["reached"] is True and metrics["rule_count"] == 9
         assert "reached" in capsys.readouterr().out
 
@@ -186,6 +187,33 @@ class TestExportRulesCommand:
         target = tmp_path / "no_such_dir" / "x.rules"
         assert main(["export-rules", "--controller", "3", "--out", str(target)]) == 1
         assert capsys.readouterr().err
+
+
+class TestUnusableFiles:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_unusable_out_exits_1(self, tmp_path, capsys, command):
+        sc = write_benchmark_scenario(tmp_path, max_time=1.0)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        for out in (blocker, blocker / "sub"):
+            assert main([command, "--scenario", str(sc), "--out", str(out), "--quiet"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(blocker) in err
+
+    def test_non_utf8_file_exits_1_naming_the_path(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("# caf\xe9\n".encode("latin-1"))
+        sc, out = str(write_benchmark_scenario(tmp_path, max_time=1.0)), str(tmp_path / "o")
+        for argv, named in (
+            (["validate", str(bad)], ()),
+            (["run", "--scenario", str(bad), "--out", out], ()),
+            (["compare", "--scenario", str(bad), "--out", out], ()),
+            (["run", "--scenario", sc, "--controller", str(bad), "--out", out], ("'controller'",)),
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(bad) in err and all(word in err for word in named), argv
 
 
 class TestUsageErrors:

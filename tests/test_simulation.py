@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from fuzzynav import (
     ordering_report,
     run,
     scenario_from_dict,
+    scenario_to_dict,
 )
 from fuzzynav.simulation import MAX_TICKS, initial_distance, resolve_controller
 
@@ -181,6 +183,17 @@ class TestScenarioConfig:
         sc = scenario_from_dict(self.base_config())
         assert sc.goal == Goal(3.0, 4.0)
         assert initial_distance(sc) == 5.0
+
+    def test_to_dict_round_trips_and_labels_a_rulebase_custom(self):
+        sc = Scenario(
+            start=Pose(1.5, -2.0, 4.0), goal=Goal(-3.0, 7.25), dt=0.05, max_time=30.0, goal_tol=0.2,
+            angle_tol=0.1, params=RobotParams(0.4, 0.05, 1.5), controller="rules/five.rules",
+        )
+        assert sc.start.theta == 4.0 - math.tau
+        data = scenario_to_dict(sc)
+        assert list(data) == [f.name for f in fields(Scenario)]
+        assert scenario_from_dict(json.loads(json.dumps(data))) == sc
+        assert scenario_to_dict(replace(sc, controller=builtin(5))) == {**data, "controller": "custom"}
 
     def test_defaults_applied_for_optional_fields(self):
         sc = scenario_from_dict({"start": {"x": 0, "y": 0}, "goal": {"x": 1, "y": 1}})
