@@ -178,7 +178,7 @@ def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> int:
 def cmd_validate(rules_path: str, quiet: bool = False) -> int:
     """Parse and validate a rule-definition file; 0 iff it is clean."""
     try:
-        with open(rules_path, encoding="utf-8") as fh:
+        with open(rules_path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         return _error(exc)

@@ -5,12 +5,17 @@ output term the max strength of the rules naming it, clip the terms at
 those strengths, aggregate with max, and defuzzify by centroid (trapezoid
 rule on a fixed 8001-point grid).  A rule base is compiled on its first
 inference into a table from each (angle term, distance term) cell to its
-rules' consequents and output terms sampled on that grid.  Only the cells
-whose two input degrees are both non-zero fire (at most four for a
-50%-overlap partition), and each compiled base keeps its last few crisp
-results keyed by the two degree tuples, so a repeated degree pair (a robot
-on a saturated plateau of both inputs) reuses its result.  All values are
-immutable, every function is pure and the result memo is a thread-safe
+rules' consequents and output terms sampled on that grid, each kept only
+on the span of grid indices where it is non-zero.  Clipping and aggregation
+run only over the spans of the terms that fired; every sample outside them
+is exactly zero, and the trapezoid sums still run over all 8001 points, so
+the result equals clipping every term on the whole grid, bit for bit.
+Only the cells whose two input degrees are both non-zero fire (at most
+four for a 50%-overlap partition), and each compiled base keeps its last
+few crisp results keyed by the two degree tuples, so a repeated degree
+pair (a robot on a saturated plateau of both inputs) reuses its result.
+All values are immutable, every function is pure (working buffers are
+allocated per call) and the result memo is a thread-safe
 ``functools.lru_cache``, so a rule base can be shared freely across
 threads.
 
@@ -35,8 +40,9 @@ __all__ = ["CompiledRuleBase", "InferenceResult", "infer", "ZERO_AREA_TOL"]
 
 # Uniform-grid resolution for centroid quadrature.  8001 points keeps the
 # trapezoid rule within ~5e-8 of a brute-force reference for clipped
-# triangular curves, while one defuzzification stays well under a
-# millisecond.
+# triangular curves.  Clipping touches only the fired terms' spans, but the
+# two trapezoid sums still read all 8001 points: numpy's pairwise sum groups
+# by array length, so summing a shorter window would change the last bits.
 _SAMPLES = 8001
 
 # Crisp results each compiled rule base keeps, least recently used first out.
@@ -60,25 +66,39 @@ class InferenceResult(NamedTuple):
 
 
 class _Sampled(NamedTuple):
-    """An output universe with every term sampled on the quadrature grid."""
+    """An output universe with every term sampled on the quadrature grid.
+
+    Term k is non-zero only on the grid indices ``[start, stop)`` of
+    ``spans[k]`` (``(0, 0)`` for a term narrower than one grid step), and
+    ``segments[k]`` holds its samples there; every other sample is 0.0.
+    """
 
     lo: float
     hi: float
     xs: np.ndarray
-    curves: np.ndarray  # one row per term
+    spans: tuple[tuple[int, int], ...]
+    segments: tuple[np.ndarray, ...]
 
 
 # Keyed by output geometry.  Four entries hold the three built-ins' outputs
-# at one v_max (right and left share one) with one to spare.  An entry
-# takes 0.26-0.51 MB, and a caller that cycles through more geometries than
-# the cache holds gets no hits from it, so a larger cache only holds memory.
+# at one v_max (right and left share one) with one to spare.  A built-in's
+# entry takes about 0.2 MB, and a caller that cycles through more geometries
+# than the cache holds gets no hits from it, so a larger cache only holds
+# memory.
 @lru_cache(maxsize=4)
 def _sample(lo: float, hi: float, mfs: tuple) -> _Sampled:
     xs = np.linspace(lo, hi, _SAMPLES)
-    curves = np.vstack([mf_eval(mf, xs) for mf in mfs])
     xs.setflags(write=False)
-    curves.setflags(write=False)
-    return _Sampled(lo, hi, xs, curves)
+    spans, segments = [], []
+    for mf in mfs:
+        row = mf_eval(mf, xs)
+        nonzero = np.flatnonzero(row)
+        start, stop = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+        segment = row[start:stop].copy()
+        segment.setflags(write=False)
+        spans.append((start, stop))
+        segments.append(segment)
+    return _Sampled(lo, hi, xs, tuple(spans), tuple(segments))
 
 
 def _centroid(sampled: _Sampled, strengths) -> tuple[float, bool]:
@@ -87,15 +107,28 @@ def _centroid(sampled: _Sampled, strengths) -> tuple[float, bool]:
 
     Below ``ZERO_AREA_TOL`` of area (nothing fired) the universe midpoint
     is returned with the flag set, so the caller stays total.
+
+    Only terms with strength > 0.0 are clipped, each over its own span: a
+    term at strength 0.0 clips to 0.0 everywhere and any term clips to 0.0
+    outside its span, and neither can raise a max that starts at 0.0.  So
+    the aggregate holds the same 8001 values as clipping every term on the
+    whole grid, and the full-length sums add them in the same order.
     """
-    lo, hi, xs, curves = sampled
-    clips = np.asarray(strengths, dtype=float)
-    mu = np.max(np.minimum(curves, clips[:, None]), axis=0)
+    lo, hi, xs, spans, segments = sampled
+    active = [(k, s) for k, s in enumerate(strengths) if s > 0.0]
+    if not active:
+        return 0.5 * (lo + hi), True
+    mu = np.zeros(_SAMPLES)
+    for k, s in active:
+        start, stop = spans[k]
+        np.maximum(mu[start:stop], np.minimum(segments[k], s), out=mu[start:stop])
     h = (hi - lo) / (_SAMPLES - 1)
     area = h * (mu.sum() - 0.5 * (mu[0] + mu[-1]))
     if area < ZERO_AREA_TOL:
         return 0.5 * (lo + hi), True
-    xmu = xs * mu
+    start, stop = min(spans[k][0] for k, _ in active), max(spans[k][1] for k, _ in active)
+    xmu = np.zeros(_SAMPLES)
+    np.multiply(xs[start:stop], mu[start:stop], out=xmu[start:stop])
     moment = h * (xmu.sum() - 0.5 * (xmu[0] + xmu[-1]))
     return float(min(max(moment / area, lo), hi)), False
 

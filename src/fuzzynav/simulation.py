@@ -136,7 +136,7 @@ def resolve_controller(sc: Scenario) -> tuple[str, RuleBase]:
         d_max = max(initial_distance(sc), MIN_D_MAX)
         return spec, builtin(int(spec), d_max=d_max, v_max=sc.params.v_max)
     try:
-        with open(spec, encoding="utf-8") as fh:
+        with open(spec, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(
@@ -309,7 +309,7 @@ def load_scenario(path: str) -> Scenario:
     def reject(token: str):  # NaN, Infinity, -Infinity: valid for Python's json only
         raise ValueError(f"{path}: invalid JSON: non-finite number '{token}'")
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:

@@ -143,6 +143,13 @@ class TestValidateCommand:
         assert main(["validate", str(rules)]) == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_byte_order_mark_validates_clean(self, tmp_path, capsys):
+        # some Windows editors start a UTF-8 file with EF BB BF
+        rules = tmp_path / "bom.rules"
+        rules.write_bytes(b"\xef\xbb\xbf" + render_rulebase(builtin(3)).encode("utf-8"))
+        assert main(["validate", str(rules)]) == 0
+        assert capsys.readouterr().out == "OK: 9 rules over 3x3 grid\n"
+
     def test_duplicate_cell_exits_3_with_one_diagnostic(self, tmp_path, capsys):
         text = render_rulebase(builtin(3))
         dup = text + text.splitlines()[-1] + "\n"

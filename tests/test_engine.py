@@ -13,6 +13,7 @@ from fuzzynav import (
     builtin,
     fuzzify,
     infer,
+    mf_eval,
     parse_rulebase,
     uniform_variable,
 )
@@ -363,6 +364,123 @@ class TestSparseFiring:
         infer(rb, 3.0, 30.0)
         infer(rb, 3.0, 30.0)
         assert calls == ["_term_strengths", "_centroid", "_centroid"]
+
+
+def full_grid_centroid(var, strengths):
+    """The centroid with every term of ``var`` sampled and clipped over all
+    8001 grid points: the formula the windowed ``engine._centroid`` must
+    reproduce bit for bit."""
+    lo, hi = var.lo, var.hi
+    xs = np.linspace(lo, hi, engine._SAMPLES)
+    curves = np.vstack([mf_eval(t.mf, xs) for t in var.terms])
+    clips = np.asarray(strengths, dtype=float)
+    mu = np.max(np.minimum(curves, clips[:, None]), axis=0)
+    h = (hi - lo) / (engine._SAMPLES - 1)
+    area = h * (mu.sum() - 0.5 * (mu[0] + mu[-1]))
+    if area < engine.ZERO_AREA_TOL:
+        return 0.5 * (lo + hi), True
+    xmu = xs * mu
+    moment = h * (xmu.sum() - 0.5 * (xmu[0] + xmu[-1]))
+    return float(min(max(moment / area, lo), hi)), False
+
+
+def sampled(var):
+    """``var`` as the compile samples it."""
+    return engine._sample(var.lo, var.hi, tuple(t.mf for t in var.terms))
+
+
+def output_vars():
+    """The output variables of the built-ins at two d_max / v_max and of the
+    dense rules file, by name (right and left share one geometry in each)."""
+    outputs = {}
+    for n in (3, 5, 7):
+        for d_max, v_max in ((24.41, 2.0), (3.0, 1.0)):
+            outputs[f"builtin({n}) v_max={v_max}"] = builtin(n, d_max=d_max, v_max=v_max).right_var
+    outputs["dense file"] = parse_rulebase(dense_rules_text()).right_var
+    return outputs
+
+
+def narrow_var():
+    """Shoulders over [0, 2] plus a term whose support (0.10001, 0.10003)
+    falls between two grid points (step 2.5e-4), so it samples to all zeros."""
+    return LinguisticVariable("v", 0.0, 2.0, (
+        Term("lo", TriangularMF(0.0, 0.0, 2.0)),
+        Term("narrow", TriangularMF(0.10001, 0.10002, 0.10003)),
+        Term("hi", TriangularMF(0.0, 2.0, 2.0)),
+    ))
+
+
+def assert_hex_equal(var, strengths):
+    got, want = engine._centroid(sampled(var), strengths), full_grid_centroid(var, strengths)
+    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), strengths
+    return got
+
+
+class TestWindowedCentroid:
+    @pytest.mark.parametrize("name", sorted(output_vars()))
+    def test_seeded_strengths_are_hex_equal_to_the_full_grid(self, name):
+        var = output_vars()[name]
+        rng = np.random.default_rng(71)
+        n = len(var.terms)
+        for _ in range(300):
+            strengths = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.4)
+            assert_hex_equal(var, tuple(float(s) for s in strengths))
+
+    def test_edge_cases_are_hex_equal_to_the_full_grid(self):
+        var = builtin(7, d_max=24.41).right_var
+        spans = sampled(var).spans
+        n = len(spans)
+        assert assert_hex_equal(var, (0.0,) * n) == (1.0, True)
+        for k in range(n):
+            assert_hex_equal(var, tuple(1.0 if j == k else 0.0 for j in range(n)))
+        # both shoulders: the window runs from index 0 through index 8000
+        assert spans[0][0] == 0 and spans[-1][1] == engine._SAMPLES
+        assert_hex_equal(var, (0.6,) + (0.0,) * (n - 2) + (0.3,))
+        # two non-adjacent terms: a run of zeros inside the window
+        assert spans[1][1] < spans[5][0]
+        assert_hex_equal(var, (0.0, 0.8, 0.0, 0.0, 0.0, 0.5, 0.0))
+
+    def test_term_narrower_than_a_grid_step_has_an_empty_span(self):
+        var = narrow_var()
+        assert sampled(var).spans[1] == (0, 0) and sampled(var).segments[1].size == 0
+        assert assert_hex_equal(var, (0.0, 1.0, 0.0)) == (1.0, True)
+        for strengths in ((0.4, 1.0, 0.0), (0.0, 0.7, 0.2), (0.3, 0.9, 0.3)):
+            assert not assert_hex_equal(var, strengths)[1]
+
+    def test_strengths_around_the_zero_area_tolerance(self):
+        var = builtin(3, d_max=24.41).right_var
+        flags = {assert_hex_equal(var, (0.0, float(s), 0.0))[1] for s in np.geomspace(1e-15, 1e-9, 61)}
+        assert flags == {True, False}
+        # bisect to the last flagged strength, then step one ulp to either side
+        lo, hi = 1e-15, 1e-9
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if full_grid_centroid(var, (0.0, mid, 0.0))[1] else (lo, mid)
+        for s in (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, 1.0)):
+            assert_hex_equal(var, (0.0, s, 0.0))
+        assert engine._centroid(sampled(var), (0.0, lo, 0.0))[1]
+        assert not engine._centroid(sampled(var), (0.0, hi, 0.0))[1]
+
+
+class TestSampledSpans:
+    @pytest.mark.parametrize("name", sorted(output_vars()))
+    def test_span_holds_every_non_zero_sample_and_only_zeros_lie_outside(self, name):
+        var = output_vars()[name]
+        s = sampled(var)
+        assert len(s.spans) == len(s.segments) == len(var.terms)
+        xs = np.linspace(var.lo, var.hi, engine._SAMPLES)
+        assert s.xs.tobytes() == xs.tobytes()
+        for term, (start, stop), segment in zip(var.terms, s.spans, s.segments):
+            row = mf_eval(term.mf, xs)
+            assert 0 <= start < stop <= engine._SAMPLES
+            nonzero = np.flatnonzero(row)
+            assert start <= nonzero[0] and nonzero[-1] < stop
+            assert segment.tobytes() == row[start:stop].tobytes()
+            # exactly +0.0 outside the span, sign bit included
+            outside = np.concatenate((row[:start], row[stop:]))
+            assert outside.tobytes() == bytes(outside.nbytes)
 
 
 class TestErrorPaths:

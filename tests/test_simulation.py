@@ -134,6 +134,16 @@ class TestControllers:
         _, m = run(sc)
         assert m.reached and m.rule_count == 25
 
+    def test_controller_rules_file_with_byte_order_mark(self, tmp_path):
+        from fuzzynav import render_rulebase
+
+        text = render_rulebase(builtin(5, d_max=24.41))
+        plain, marked = tmp_path / "plain.rules", tmp_path / "bom.rules"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        resolved = [resolve_controller(replace(benchmark_scenario(), controller=str(p)))[1] for p in (plain, marked)]
+        assert resolved[1] == resolved[0]
+
 
 class TestCompare:
     def test_rows_follow_input_order_with_rule_counts(self):
@@ -278,6 +288,11 @@ class TestScenarioConfig:
         path.write_text(json.dumps(self.base_config()), encoding="utf-8")
         sc = load_scenario(str(path))
         assert sc.params.v_max == 2.0
+
+    def test_load_scenario_accepts_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(self.base_config()).encode("utf-8"))
+        assert load_scenario(str(path)) == scenario_from_dict(self.base_config())
 
 
 # Numerically sensitive runs under the 8001-point centroid quadrature:
