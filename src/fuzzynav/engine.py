@@ -10,10 +10,13 @@ on the span of grid indices where it is non-zero.  Clipping and aggregation
 run only over the spans of the terms that fired; every sample outside them
 is exactly zero, and the trapezoid sums still run over all 8001 points, so
 the result equals clipping every term on the whole grid, bit for bit.
-Only the cells whose two input degrees are both non-zero fire (at most
-four for a 50%-overlap partition), and each compiled base keeps its last
-few crisp results keyed by the two degree tuples, so a repeated degree
-pair (a robot on a saturated plateau of both inputs) reuses its result.
+When the two outputs share one sampling and their per-term strengths are
+equal (a robot heading straight at the goal on a mirrored rule grid), one
+centroid serves both.  Only the cells whose two input degrees are both
+non-zero fire (at most four for a 50%-overlap partition), and each
+compiled base keeps its last few crisp results keyed by the two degree
+tuples, so a repeated degree pair (a robot on a saturated plateau of both
+inputs) reuses its result.
 All values are immutable, every function is pure (working buffers are
 allocated per call) and the result memo is a thread-safe
 ``functools.lru_cache``, so a rule base can be shared freely across
@@ -110,26 +113,35 @@ def _centroid(sampled: _Sampled, strengths) -> tuple[float, bool]:
 
     Only terms with strength > 0.0 are clipped, each over its own span: a
     term at strength 0.0 clips to 0.0 everywhere and any term clips to 0.0
-    outside its span, and neither can raise a max that starts at 0.0.  So
-    the aggregate holds the same 8001 values as clipping every term on the
-    whole grid, and the full-length sums add them in the same order.
+    outside its span, and neither can raise a max that starts at 0.0.  The
+    first fired term's clip is written straight into the zeroed buffer:
+    a span holds only samples > 0.0, so its clip is > 0.0 and equals its
+    max with 0.0.  So the aggregate holds the same 8001 values as clipping
+    every term on the whole grid, and the full-length sums add them in the
+    same order.
     """
     lo, hi, xs, spans, segments = sampled
-    active = [(k, s) for k, s in enumerate(strengths) if s > 0.0]
-    if not active:
+    mu = None
+    for k, s in enumerate(strengths):
+        if s > 0.0:
+            start, stop = spans[k]
+            if mu is None:
+                mu = np.zeros(_SAMPLES)
+                np.minimum(segments[k], s, out=mu[start:stop])
+                first, last = start, stop
+            else:
+                window = mu[start:stop]
+                np.maximum(window, np.minimum(segments[k], s), out=window)
+                first, last = min(first, start), max(last, stop)
+    if mu is None:
         return 0.5 * (lo + hi), True
-    mu = np.zeros(_SAMPLES)
-    for k, s in active:
-        start, stop = spans[k]
-        np.maximum(mu[start:stop], np.minimum(segments[k], s), out=mu[start:stop])
     h = (hi - lo) / (_SAMPLES - 1)
-    area = h * (mu.sum() - 0.5 * (mu[0] + mu[-1]))
+    area = h * (float(mu.sum()) - 0.5 * (float(mu[0]) + float(mu[-1])))
     if area < ZERO_AREA_TOL:
         return 0.5 * (lo + hi), True
-    start, stop = min(spans[k][0] for k, _ in active), max(spans[k][1] for k, _ in active)
     xmu = np.zeros(_SAMPLES)
-    np.multiply(xs[start:stop], mu[start:stop], out=xmu[start:stop])
-    moment = h * (xmu.sum() - 0.5 * (xmu[0] + xmu[-1]))
+    np.multiply(xs[first:last], mu[first:last], out=xmu[first:last])
+    moment = h * (float(xmu.sum()) - 0.5 * (float(xmu[0]) + float(xmu[-1])))
     return float(min(max(moment / area, lo), hi)), False
 
 
@@ -184,16 +196,20 @@ class CompiledRuleBase(NamedTuple):
         # keyed by geometry, so equal right and left variables share one sampling
         right, left = (_sample(v.lo, v.hi, tuple(t.mf for t in v.terms)) for v in (right_var, left_var))
         n_right, n_left = len(right_var.terms), len(left_var.terms)
+        shared = left is right
 
         # Keys compare by value, so degrees 0.0 and -0.0 share an entry: both
         # leave their cells unfired, so the result is the same.  The memo
         # holds the tables, not the compiled base, so no reference cycle
         # keeps a dropped base's sampled outputs alive.  ``_term_strengths``
         # and ``_centroid`` are module globals, looked up on every miss.
+        # Strengths are never -0.0 or nan, so equal tuples are equal bit for
+        # bit, and on one shared sampling they give one centroid.
         @lru_cache(maxsize=_MEMO_SIZE)
         def outputs(angle, dist) -> InferenceResult:
             rs, ls = _term_strengths(cells, n_right, n_left, angle, dist)
-            (v_right, right_zero), (v_left, left_zero) = _centroid(right, rs), _centroid(left, ls)
+            v_right, right_zero = _centroid(right, rs)
+            v_left, left_zero = (v_right, right_zero) if shared and ls == rs else _centroid(left, ls)
             return InferenceResult(v_right, v_left, right_zero, left_zero)
 
         return cls(angle_var, distance_var, cells, right, left, outputs)

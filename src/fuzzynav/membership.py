@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -147,12 +148,15 @@ class LinguisticVariable:
     def clamp(self, x: float) -> float:
         return min(max(x, self.lo), self.hi)
 
-
-def _degree(mf: TriangularMF, x: float) -> float:
-    """Scalar twin of ``mf_eval`` in plain floats: the same IEEE operations."""
-    up = 1.0 if mf.is_left_shoulder else (x - mf.left) / (mf.peak - mf.left)
-    down = 1.0 if mf.is_right_shoulder else (mf.right - x) / (mf.right - mf.peak)
-    return min(max(min(up, down), 0.0), 1.0)
+    @cached_property
+    def _table(self) -> tuple[tuple[float, float, float, float, bool, bool], ...]:
+        """Per term, in term order: (left, peak - left, right, right - peak,
+        left shoulder, right shoulder), built on first use."""
+        return tuple(
+            (t.mf.left, t.mf.peak - t.mf.left, t.mf.right, t.mf.right - t.mf.peak,
+             t.mf.is_left_shoulder, t.mf.is_right_shoulder)
+            for t in self.terms
+        )
 
 
 def fuzzify(var: LinguisticVariable, x: float) -> tuple[float, ...]:
@@ -160,10 +164,20 @@ def fuzzify(var: LinguisticVariable, x: float) -> tuple[float, ...]:
 
     ``x`` is clamped to the universe first, so out-of-range inputs land on
     the nearest boundary term instead of fuzzifying to all zeros.  Zeros
-    are included, one degree per term; each equals ``mf_eval`` bit for bit.
+    are included, one degree per term.  The terms are evaluated from a
+    per-term table of plain floats that the variable builds once, with the
+    IEEE operations of ``mf_eval``, so each degree equals it bit for bit.
+
+    Raises ValueError naming the value when ``x`` is not finite.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"variable '{var.name}': x must be finite, got {x}")
     xc = var.clamp(x)
-    return tuple([_degree(t.mf, xc) for t in var.terms])
+    return tuple([
+        min(max(min(1.0 if left_shoulder else (xc - left) / rise,
+                    1.0 if right_shoulder else (right - xc) / fall), 0.0), 1.0)
+        for left, rise, right, fall, left_shoulder, right_shoulder in var._table
+    ])
 
 
 def uniform_variable(

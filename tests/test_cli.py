@@ -1,11 +1,24 @@
+import hashlib
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from fuzzynav import Metrics, builtin, parse_rulebase, render_rulebase
 from fuzzynav.cli import CSV_HEADER, main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# sha256 of the trajectories ``fuzzynav compare`` writes for the benchmark
+# scenario (Python 3.11, numpy 2.4).  A speed-up must leave these bytes as
+# they are; a deliberate change to them is re-recorded here and listed.
+BENCHMARK_TRAJECTORY_SHA256 = {
+    "trajectory_3.csv": "45f120cc06da4d97153dc7bd0ce6b1b2a7989bb95eb192f299452391e63f14d7",
+    "trajectory_5.csv": "e26e1b7c29d9056467fe856edcf9aa31357cdb818f0a15b54e39511cb0117abe",
+    "trajectory_7.csv": "2c0167414bee969bae8b64c8b2323a7e36eb356e23b20f67000720343a030134",
+}
 
 
 def write_benchmark_scenario(tmp_path, **overrides):
@@ -121,6 +134,13 @@ class TestCompareCommand:
             "metrics_3.json", "metrics_5.json", "metrics_7.json",
         ):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_benchmark_trajectory_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "cmp"
+        sc = ROOT / "demos" / "benchmark_scenario.json"
+        assert main(["compare", "--scenario", str(sc), "--out", str(out), "--quiet"]) == 0
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in BENCHMARK_TRAJECTORY_SHA256}
+        assert got == BENCHMARK_TRAJECTORY_SHA256
 
     def test_per_controller_trajectories_written(self, tmp_path):
         sc = write_benchmark_scenario(tmp_path)

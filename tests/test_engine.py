@@ -15,6 +15,7 @@ from fuzzynav import (
     infer,
     mf_eval,
     parse_rulebase,
+    render_rulebase,
     uniform_variable,
 )
 from fuzzynav import engine
@@ -352,7 +353,8 @@ class TestSparseFiring:
 
     def test_memo_miss_fires_and_defuzzifies_through_the_module_bindings(self, monkeypatch):
         # a trace that wraps engine._term_strengths and engine._centroid sees
-        # every memo miss (one firing, one centroid per output) and no hit
+        # every memo miss (one firing, one centroid per distinct output) and
+        # no hit
         calls = []
         for name in ("_term_strengths", "_centroid"):
             def counting(*args, _name=name, _fn=getattr(engine, name)):
@@ -364,6 +366,46 @@ class TestSparseFiring:
         infer(rb, 3.0, 30.0)
         infer(rb, 3.0, 30.0)
         assert calls == ["_term_strengths", "_centroid", "_centroid"]
+
+
+def mirrored_cases():
+    """(rule base, e_theta, e_d) whose right and left strengths are equal:
+    straight ahead on a built-in, nothing firing on builtin(3) without its
+    N row (both outputs flagged), and straight ahead on builtin(3) with a
+    wider left range (two samplings)."""
+    b3 = builtin(3, d_max=24.41)
+    wide_left = render_rulebase(builtin(3)).replace("var left range 0.0 2.0", "var left range 0.0 3.0")
+    return {
+        "builtin(5) straight ahead": (builtin(5, d_max=24.41), 0.0, 10.0),
+        "builtin(3) minus row N": (RuleBase(b3.angle_var, b3.distance_var, b3.right_var, b3.left_var, b3.rules[3:]),
+                                   -3.0, 10.0),
+        "left range wider than right": (parse_rulebase(wide_left), 0.0, 10.0),
+    }
+
+
+class TestMirroredOutputs:
+    @pytest.mark.parametrize("name", sorted(mirrored_cases()))
+    def test_equal_strengths_defuzzify_once_per_sampling(self, name, monkeypatch):
+        rb, e_theta, e_d = mirrored_cases()[name]
+        compiled = rb.compiled
+        shared = name != "left range wider than right"
+        assert (compiled.left is compiled.right) == shared
+        angle, dist = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
+        rs, ls = engine._term_strengths(compiled.cells, len(rb.right_var.terms), len(rb.left_var.terms), angle, dist)
+        assert rs == ls
+        right, left = engine._centroid(compiled.right, rs), engine._centroid(compiled.left, ls)
+        calls = []
+
+        def counting(*args, _centroid=engine._centroid):
+            calls.append(args)
+            return _centroid(*args)
+
+        monkeypatch.setattr(engine, "_centroid", counting)
+        got = compiled.outputs(angle, dist)
+        assert len(calls) == (1 if shared else 2)
+        assert hexed(got) == hexed((right[0], left[0], right[1], left[1]))
+        assert got.right_zero_area == (name == "builtin(3) minus row N")
+        assert (got.v_left == got.v_right) == shared
 
 
 def full_grid_centroid(var, strengths):

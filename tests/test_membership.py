@@ -1,9 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from fuzzynav import LinguisticVariable, Term, TriangularMF, builtin, fuzzify, mf_eval, uniform_variable
+from fuzzynav import LinguisticVariable, Term, TriangularMF, builtin, fuzzify, mf_eval, parse_rulebase, uniform_variable
+
+from test_engine import dense_rules_text
 
 
 class TestTriangularEval:
@@ -106,6 +109,47 @@ class TestFuzzify:
                 for x in rng.uniform(var.lo, var.hi, 200):
                     total = sum(fuzzify(var, x))
                     assert abs(total - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected_naming_the_value(self, bad):
+        with pytest.raises(ValueError, match=f"^variable 'angle': x must be finite, got {bad}$"):
+            fuzzify(builtin(3).angle_var, bad)
+
+
+def table_cases():
+    """Every variable of the built-ins at three d_max and of the dense rules
+    file, by name (a built-in's left output equals its right one)."""
+    variables = {}
+    for n in (3, 5, 7):
+        for d_max in (0.5, 3.0, 24.41):
+            rb = builtin(n, d_max=d_max)
+            for var in (rb.angle_var, rb.distance_var, rb.right_var):
+                variables[f"builtin({n}, d_max={d_max}) {var.name}"] = var
+    rb = parse_rulebase(dense_rules_text())
+    for var in (rb.angle_var, rb.distance_var, rb.right_var, rb.left_var):
+        variables[f"dense file {var.name}"] = var
+    return variables
+
+
+def probe_points(var, seed):
+    """Each term's feet and peak, the universe ends, one ulp either side of
+    all of them, +/-0.0, points far outside the universe and seeded ones."""
+    edges = [x for t in var.terms for x in (t.mf.left, t.mf.peak, t.mf.right)] + [var.lo, var.hi]
+    points = edges + [math.nextafter(x, d) for x in edges for d in (-math.inf, math.inf)]
+    width = var.hi - var.lo
+    points += [0.0, -0.0, var.lo - 1e6 * width, var.hi + 1e6 * width, -1e300, 1e300]
+    rng = random.Random(seed)
+    points += [rng.uniform(var.lo - 0.5 * width, var.hi + 0.5 * width) for _ in range(500)]
+    return points
+
+
+class TestTableDrivenFuzzify:
+    @pytest.mark.parametrize("name", sorted(table_cases()))
+    def test_hex_equal_to_scalar_mf_eval(self, name):
+        var = table_cases()[name]
+        for x in probe_points(var, seed=19):
+            want = [mf_eval(t.mf, var.clamp(x)).hex() for t in var.terms]
+            assert [d.hex() for d in fuzzify(var, x)] == want, x
 
 
 class TestVariableValidation:
