@@ -9,7 +9,11 @@ rules' consequents and output terms sampled on that grid, each kept only
 on the span of grid indices where it is non-zero.  Clipping and aggregation
 run only over the spans of the terms that fired; every sample outside them
 is exactly zero, and the trapezoid sums still run over all 8001 points, so
-the result equals clipping every term on the whole grid, bit for bit.
+the result equals clipping every term on the whole grid, bit for bit.  One
+working buffer serves each centroid: once the area is summed, the moment
+x·mu is formed in it in place.  The min-AND and the final clamp are
+conditional expressions making the comparisons of ``min`` and ``max``,
+so they equal the builtins, signed zeros included, without their calls.
 When the two outputs share one sampling and their per-term strengths are
 equal (a robot heading straight at the goal on a mirrored rule grid), one
 centroid serves both.  Only the cells whose two input degrees are both
@@ -17,7 +21,7 @@ non-zero fire (at most four for a 50%-overlap partition), and each
 compiled base keeps its last few crisp results keyed by the two degree
 tuples, so a repeated degree pair (a robot on a saturated plateau of both
 inputs) reuses its result.
-All values are immutable, every function is pure (working buffers are
+All values are immutable, every function is pure (the one working buffer is
 allocated per call) and the result memo is a thread-safe
 ``functools.lru_cache``, so a rule base can be shared freely across
 threads.
@@ -119,6 +123,12 @@ def _centroid(sampled: _Sampled, strengths) -> tuple[float, bool]:
     max with 0.0.  So the aggregate holds the same 8001 values as clipping
     every term on the whole grid, and the full-length sums add them in the
     same order.
+
+    That buffer is the call's only one.  After the area sum is read, x·mu
+    is formed in place over the fired window; every sample outside it is
+    +0.0, so the buffer then holds the 8001 moment terms of the full grid.
+    The clamp to the universe makes the comparisons of ``min(max(c, lo),
+    hi)``.
     """
     lo, hi, xs, spans, segments = sampled
     mu = None
@@ -132,17 +142,22 @@ def _centroid(sampled: _Sampled, strengths) -> tuple[float, bool]:
             else:
                 window = mu[start:stop]
                 np.maximum(window, np.minimum(segments[k], s), out=window)
-                first, last = min(first, start), max(last, stop)
+                if start < first:
+                    first = start
+                if stop > last:
+                    last = stop
     if mu is None:
         return 0.5 * (lo + hi), True
     h = (hi - lo) / (_SAMPLES - 1)
     area = h * (float(mu.sum()) - 0.5 * (float(mu[0]) + float(mu[-1])))
     if area < ZERO_AREA_TOL:
         return 0.5 * (lo + hi), True
-    xmu = np.zeros(_SAMPLES)
-    np.multiply(xs[first:last], mu[first:last], out=xmu[first:last])
-    moment = h * (float(xmu.sum()) - 0.5 * (float(xmu[0]) + float(xmu[-1])))
-    return float(min(max(moment / area, lo), hi)), False
+    window = mu[first:last]
+    np.multiply(xs[first:last], window, out=window)
+    moment = h * (float(mu.sum()) - 0.5 * (float(mu[0]) + float(mu[-1])))
+    crisp = moment / area
+    crisp = lo if lo > crisp else crisp
+    return float(hi if hi < crisp else crisp), False
 
 
 def _term_strengths(cells, n_right: int, n_left: int, angle, dist) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -151,7 +166,9 @@ def _term_strengths(cells, n_right: int, n_left: int, angle, dist) -> tuple[tupl
 
     Only cells whose two degrees are both > 0.0 fire.  Any other cell's
     strength is 0.0 or -0.0, which cannot raise a max that starts at 0.0,
-    so the result equals firing every rule, bit for bit.
+    so the result equals firing every rule, bit for bit.  The min-AND is
+    ``b if b < a else a``, the comparison ``min(a, b)`` makes, with no
+    builtin call per cell.
     """
     right = [0.0] * n_right
     left = [0.0] * n_left
@@ -159,7 +176,7 @@ def _term_strengths(cells, n_right: int, n_left: int, angle, dist) -> tuple[tupl
     for row, deg in zip(cells, angle):
         if deg > 0.0:
             for d, d_deg in hot:
-                s = min(deg, d_deg)
+                s = d_deg if d_deg < deg else deg
                 for r, l in row[d]:
                     if s > right[r]:
                         right[r] = s

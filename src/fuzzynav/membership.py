@@ -146,7 +146,11 @@ class LinguisticVariable:
         raise ValueError(f"unknown label '{label}' for variable '{self.name}'")
 
     def clamp(self, x: float) -> float:
-        return min(max(x, self.lo), self.hi)
+        """``x`` clamped to ``[lo, hi]``, equal to ``min(max(x, lo), hi)``
+        bit for bit."""
+        lo, hi = self.lo, self.hi
+        x = lo if lo > x else x
+        return hi if hi < x else x
 
     @cached_property
     def _table(self) -> tuple[tuple[float, float, float, float, bool, bool], ...]:
@@ -167,17 +171,24 @@ def fuzzify(var: LinguisticVariable, x: float) -> tuple[float, ...]:
     are included, one degree per term.  The terms are evaluated from a
     per-term table of plain floats that the variable builds once, with the
     IEEE operations of ``mf_eval``, so each degree equals it bit for bit.
+    The clamps and the min of the two slopes are conditional expressions
+    that make the comparisons of ``min`` and ``max``: ``b if b < a else a``
+    is ``min(a, b)`` and ``b if b > a else a`` is ``max(a, b)``, signed
+    zeros included, without a builtin call per term.
 
     Raises ValueError naming the value when ``x`` is not finite.
     """
     if not math.isfinite(x):
         raise ValueError(f"variable '{var.name}': x must be finite, got {x}")
     xc = var.clamp(x)
-    return tuple([
-        min(max(min(1.0 if left_shoulder else (xc - left) / rise,
-                    1.0 if right_shoulder else (right - xc) / fall), 0.0), 1.0)
-        for left, rise, right, fall, left_shoulder, right_shoulder in var._table
-    ])
+    degrees = []
+    for left, rise, right, fall, left_shoulder, right_shoulder in var._table:
+        up = 1.0 if left_shoulder else (xc - left) / rise
+        down = 1.0 if right_shoulder else (right - xc) / fall
+        deg = down if down < up else up
+        deg = 0.0 if 0.0 > deg else deg
+        degrees.append(1.0 if 1.0 < deg else deg)
+    return tuple(degrees)
 
 
 def uniform_variable(

@@ -264,14 +264,19 @@ def _number(mapping: dict, key: str, where: str) -> float:
 def _record(cls, data: dict, where: str, **defaults):
     """Build ``cls`` from the mapping ``data[where]``, whose keys must be
     fields of ``cls`` and whose values must be numbers; ``defaults`` fill
-    fields that the config may omit and ``cls`` gives no default."""
+    fields that the config may omit and ``cls`` gives no default.  A value
+    that ``cls`` rejects raises ValueError naming the section."""
     mapping = data[where]
     required = [f.name for f in fields(cls) if f.default is MISSING and f.name not in defaults]
     if not isinstance(mapping, dict) or not set(required) <= set(mapping):
         need = f" with {' and '.join(required)}" if required else ""
         raise ValueError(f"scenario field '{where}' must be a mapping{need}")
     _check_keys(mapping, {f.name for f in fields(cls)}, where)
-    return cls(**{**defaults, **{k: _number(mapping, k, where) for k in mapping}})
+    values = {**defaults, **{k: _number(mapping, k, where) for k in mapping}}
+    try:
+        return cls(**values)
+    except ValueError as exc:  # e.g. "x must be finite, got inf" from a 1e400 literal
+        raise ValueError(f"scenario field '{where}': {exc}") from exc
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -118,8 +118,9 @@ class TestFuzzify:
 
 def table_cases():
     """Every variable of the built-ins at three d_max and of the dense rules
-    file, by name (a built-in's left output equals its right one)."""
-    variables = {}
+    file, by name (a built-in's left output equals its right one), and one
+    universe that ends at 0.0, where clamping -0.0 keeps its sign."""
+    variables = {"nonpositive": uniform_variable("nonpositive", -1.0, 0.0, ("N", "Z"))}
     for n in (3, 5, 7):
         for d_max in (0.5, 3.0, 24.41):
             rb = builtin(n, d_max=d_max)
@@ -150,6 +151,21 @@ class TestTableDrivenFuzzify:
         for x in probe_points(var, seed=19):
             want = [mf_eval(t.mf, var.clamp(x)).hex() for t in var.terms]
             assert [d.hex() for d in fuzzify(var, x)] == want, x
+
+    @pytest.mark.parametrize("name", sorted(table_cases()))
+    def test_hex_equal_to_plain_python_min_max(self, name):
+        # A numpy-free reference with the builtins fuzzify's comparisons
+        # stand in for, so the signed zeros do not rest on np.clip.
+        var = table_cases()[name]
+        for x in probe_points(var, seed=23):
+            xc = min(max(x, var.lo), var.hi)
+            want = []
+            for t in var.terms:
+                up = 1.0 if t.mf.is_left_shoulder else (xc - t.mf.left) / (t.mf.peak - t.mf.left)
+                down = 1.0 if t.mf.is_right_shoulder else (t.mf.right - xc) / (t.mf.right - t.mf.peak)
+                want.append(min(max(min(up, down), 0.0), 1.0).hex())
+            assert [d.hex() for d in fuzzify(var, x)] == want, x
+            assert var.clamp(x).hex() == xc.hex(), x
 
 
 class TestVariableValidation:

@@ -230,9 +230,12 @@ class TestScenarioConfig:
         # every numeric field rejects non-finite values, naming the field
         for field in ("dt", "max_time", "goal_tol", "angle_tol"):
             cases += [(field, bad, f"'{field}' must be finite") for bad in (math.nan, math.inf, -math.inf)]
-        for section, field in (("params", "wheel_base"), ("params", "wheel_radius"), ("params", "v_max"),
-                               ("start", "x"), ("start", "y"), ("start", "theta"), ("goal", "x"), ("goal", "y")):
-            cases += [((section, field), bad, f"{field} must be finite") for bad in (math.nan, math.inf, -math.inf)]
+        # a nested field names its section first; Goal's own message says "goal x"
+        for section, field, label in (("params", "wheel_base", "wheel_base"), ("params", "wheel_radius", "wheel_radius"),
+                                      ("params", "v_max", "v_max"), ("start", "x", "x"), ("start", "y", "y"),
+                                      ("start", "theta", "theta"), ("goal", "x", "goal x"), ("goal", "y", "goal y")):
+            cases += [((section, field), bad, f"^scenario field '{section}': {label} must be finite")
+                      for bad in (math.nan, math.inf, -math.inf)]
         for key, bad, match in cases:
             cfg = self.base_config()
             if isinstance(key, tuple):
@@ -281,6 +284,18 @@ class TestScenarioConfig:
             path.write_text(json.dumps(self.base_config()).replace('"max_time": 60.0', f'"max_time": {token}'),
                             encoding="utf-8")
             with pytest.raises(ValueError, match=f"non-finite number '{token}'"):
+                load_scenario(str(path))
+
+    def test_load_scenario_names_the_section_of_an_overflowing_literal(self, tmp_path):
+        # json parses 1e400 to inf without calling parse_constant
+        path = tmp_path / "overflow.json"
+        for section, key, literal, message in (("start", "x", "1e400", "x must be finite, got inf"),
+                                               ("goal", "y", "-1e400", "goal y must be finite, got -inf"),
+                                               ("params", "v_max", "1e400", "v_max must be finite, got inf")):
+            cfg = self.base_config()
+            cfg[section][key] = "LITERAL"
+            path.write_text(json.dumps(cfg).replace('"LITERAL"', literal), encoding="utf-8")
+            with pytest.raises(ValueError, match=f"^scenario field '{section}': {message}$"):
                 load_scenario(str(path))
 
     def test_load_scenario_file(self, tmp_path):
