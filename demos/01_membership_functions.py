@@ -4,8 +4,6 @@ Builds the 5-term velocity variable used by the built-in controllers and
 tabulates membership degrees across its universe, showing the 50% overlap,
 the shoulder terms at the edges, and the partition-of-unity property.
 """
-import numpy as np
-
 from fuzzynav import builtin, fuzzify
 
 rb = builtin(5, d_max=24.41, v_max=2.0)
@@ -18,8 +16,8 @@ for term in var.terms:
     print(f"  {term.label:>3}: tri({mf.left:.2f}, {mf.peak:.2f}, {mf.right:.2f})  [{kind}]")
 
 print("\n  x    " + "  ".join(f"{label:>5}" for label in var.labels) + "    sum")
-for x in np.linspace(var.lo, var.hi, 11):
-    degrees = fuzzify(var, float(x))
+for x in [var.lo + i * (var.hi - var.lo) / 10 for i in range(11)]:
+    degrees = fuzzify(var, x)
     row = "  ".join(f"{d:5.2f}" for d in degrees)
     print(f"{x:5.2f}  {row}  {sum(degrees):5.2f}")
 

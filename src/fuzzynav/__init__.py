@@ -10,7 +10,6 @@ from .membership import (
     Term,
     TriangularMF,
     fuzzify,
-    mf_eval,
     uniform_variable,
 )
 from .engine import InferenceResult, infer
@@ -86,7 +85,6 @@ __all__ = [
     "fuzzify",
     "infer",
     "load_scenario",
-    "mf_eval",
     "ordering_report",
     "parse_rulebase",
     "render_rulebase",

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .membership import LinguisticVariable, fuzzify, mf_eval
+from .membership import LinguisticVariable, fuzzify
 
 if TYPE_CHECKING:
     from .rulebase import RuleBase
@@ -98,7 +98,9 @@ def _sample(lo: float, hi: float, mfs: tuple) -> _Sampled:
     xs.setflags(write=False)
     spans, segments = [], []
     for mf in mfs:
-        row = mf_eval(mf, xs)
+        up = 1.0 if mf.is_left_shoulder else (xs - mf.left) / (mf.peak - mf.left)
+        down = 1.0 if mf.is_right_shoulder else (mf.right - xs) / (mf.right - mf.peak)
+        row = np.clip(np.minimum(up, down), 0.0, 1.0)
         nonzero = np.flatnonzero(row)
         start, stop = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
         segment = row[start:stop].copy()

@@ -12,13 +12,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
 __all__ = [
     "TriangularMF",
     "Term",
     "LinguisticVariable",
-    "mf_eval",
     "fuzzify",
     "uniform_variable",
 ]
@@ -60,19 +57,11 @@ class TriangularMF:
         return self.peak == self.right
 
 
-def mf_eval(mf: TriangularMF, x):
-    """Membership degree of ``x`` in ``mf``; accepts a scalar or array.
-
-    Total function: points outside the support map to 0, except that a
-    shoulder holds membership at 1 beyond its flat side.
-    """
-    xs = np.asarray(x, dtype=float)
-    up = 1.0 if mf.is_left_shoulder else (xs - mf.left) / (mf.peak - mf.left)
-    down = 1.0 if mf.is_right_shoulder else (mf.right - xs) / (mf.right - mf.peak)
-    deg = np.clip(np.minimum(up, down), 0.0, 1.0)
-    if xs.ndim == 0:
-        return float(deg)
-    return deg
+def _check_finite_bounds(name: str, lo: float, hi: float):
+    """Raise ValueError naming the variable and the bound that is not finite."""
+    for field, value in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"variable '{name}': {field} must be finite, got {value}")
 
 
 class Term(NamedTuple):
@@ -96,9 +85,7 @@ class LinguisticVariable:
     terms: tuple[Term, ...]
 
     def __post_init__(self):
-        for name in ("lo", "hi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"variable '{self.name}': {name} must be finite, got {getattr(self, name)}")
+        _check_finite_bounds(self.name, self.lo, self.hi)
         if not self.lo < self.hi:
             raise ValueError(f"variable '{self.name}': universe must satisfy lo < hi")
         if not self.terms:
@@ -127,7 +114,7 @@ class LinguisticVariable:
         )
         reach = self.lo
         for start, end in spans:
-            if start < reach or (start == -math.inf):
+            if start < reach:
                 reach = max(reach, end)
         if not reach > self.hi:
             raise ValueError(
@@ -138,12 +125,6 @@ class LinguisticVariable:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(t.label for t in self.terms)
-
-    def term(self, label: str) -> Term:
-        for t in self.terms:
-            if t.label == label:
-                return t
-        raise ValueError(f"unknown label '{label}' for variable '{self.name}'")
 
     def clamp(self, x: float) -> float:
         """``x`` clamped to ``[lo, hi]``, equal to ``min(max(x, lo), hi)``
@@ -168,13 +149,14 @@ def fuzzify(var: LinguisticVariable, x: float) -> tuple[float, ...]:
 
     ``x`` is clamped to the universe first, so out-of-range inputs land on
     the nearest boundary term instead of fuzzifying to all zeros.  Zeros
-    are included, one degree per term.  The terms are evaluated from a
-    per-term table of plain floats that the variable builds once, with the
-    IEEE operations of ``mf_eval``, so each degree equals it bit for bit.
-    The clamps and the min of the two slopes are conditional expressions
-    that make the comparisons of ``min`` and ``max``: ``b if b < a else a``
-    is ``min(a, b)`` and ``b if b > a else a`` is ``max(a, b)``, signed
-    zeros included, without a builtin call per term.
+    are included, one degree per term.  Each degree is the min of the
+    term's rising and falling lines (1.0 on a shoulder's flat side),
+    clamped to [0, 1], evaluated from a per-term table of plain floats that
+    the variable builds once.  The clamps and the min of the two slopes are
+    conditional expressions that make the comparisons of ``min`` and
+    ``max``: ``b if b < a else a`` is ``min(a, b)`` and ``b if b > a else
+    a`` is ``max(a, b)``, signed zeros included, without a builtin call per
+    term.
 
     Raises ValueError naming the value when ``x`` is not finite.
     """
@@ -200,20 +182,27 @@ def uniform_variable(
 ) -> LinguisticVariable:
     """Variable with uniformly spaced peaks and 50% overlap.
 
-    Peaks sit at ``linspace`` over ``peak_span`` (the whole universe when
-    omitted); each triangle's feet are the neighbouring peaks, and the two
-    edge terms are shoulders, flat from their peak out to the universe
-    edge.  Membership degrees of such a partition sum to 1 everywhere
-    inside the universe, including any saturated zone outside the span.
+    Peaks are evenly spaced over ``peak_span`` (the whole universe when
+    omitted), with ``np.linspace``'s formula: start + i * step, and the
+    span's end as the last peak.  Each triangle's feet are the neighbouring
+    peaks, and the two edge terms are shoulders, flat from their peak out
+    to the universe edge.  Membership degrees of such a partition sum to 1
+    everywhere inside the universe, including any saturated zone outside
+    the span.
+
+    Raises ValueError naming the bound when ``lo`` or ``hi`` is not finite.
     """
+    _check_finite_bounds(name, lo, hi)
     if len(labels) < 2:
         raise ValueError("uniform partition needs at least two labels")
     span_lo, span_hi = peak_span if peak_span is not None else (lo, hi)
     if not (lo <= span_lo < span_hi <= hi):
         raise ValueError(f"peak span [{span_lo}, {span_hi}] must lie within the universe [{lo}, {hi}]")
-    peaks = [float(p) for p in np.linspace(span_lo, span_hi, len(labels))]
-    terms = []
+    a, b = float(span_lo), float(span_hi)
     last = len(labels) - 1
+    step = (b - a) / last
+    peaks = [a + i * step for i in range(last)] + [b]
+    terms = []
     for i, label in enumerate(labels):
         left = peaks[i] if i == 0 else peaks[i - 1]
         right = peaks[i] if i == last else peaks[i + 1]

@@ -72,13 +72,6 @@ class RuleBase:
                 raise ValueError(p.message)
         return CompiledRuleBase.of(self.angle_var, self.distance_var, self.right_var, self.left_var, indices)
 
-    def consequents(self, angle_term: str, distance_term: str) -> tuple[str, str]:
-        """(right, left) consequent labels of the cell, for table lookups."""
-        for r in self.rules:
-            if r.angle_term == angle_term and r.distance_term == distance_term:
-                return r.right_term, r.left_term
-        raise KeyError(f"no rule for cell ({angle_term}, {distance_term})")
-
 
 @dataclass(frozen=True)
 class Issue:

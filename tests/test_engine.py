@@ -13,7 +13,6 @@ from fuzzynav import (
     builtin,
     fuzzify,
     infer,
-    mf_eval,
     parse_rulebase,
     render_rulebase,
     uniform_variable,
@@ -22,15 +21,20 @@ from fuzzynav import engine
 from fuzzynav.rulebase import _resolve
 
 
+def tri_vec(mf, xs):
+    """Degrees of the triangle ``mf`` on ``xs``: own formula, branching at
+    the peak instead of min-of-lines, no package code."""
+    a, b, c = mf.left, mf.peak, mf.right
+    rise = np.ones_like(xs) if a == b else (xs - a) / (b - a)
+    fall = np.ones_like(xs) if b == c else (c - xs) / (c - b)
+    return np.clip(np.where(xs <= b, rise, fall), 0.0, 1.0)
+
+
 def brute_mu_vec(clips, xs):
-    """Independent max-of-clipped evaluation: own triangle formula, branching
-    at the peak instead of min-of-lines, no package code."""
+    """Independent max-of-clipped evaluation of (triangle, strength) clips."""
     best = np.zeros_like(xs)
-    for (a, b, c), s in clips:
-        rise = np.ones_like(xs) if a == b else (xs - a) / (b - a)
-        fall = np.ones_like(xs) if b == c else (c - xs) / (c - b)
-        deg = np.clip(np.where(xs <= b, rise, fall), 0.0, 1.0)
-        best = np.maximum(best, np.minimum(s, deg))
+    for mf, s in clips:
+        best = np.maximum(best, np.minimum(s, tri_vec(mf, xs)))
     return best
 
 
@@ -48,8 +52,8 @@ def aggregate(var, fired):
     One rule per consequent, each on its own angle term whose degree is the
     given strength; every rule shares one distance term at degree 1.
     Returns the crisp ``(value, zero_area)`` of ``rb.compiled.outputs`` and
-    the clips an independent integrator needs: ((left, peak, right),
-    strength) per fired term, duplicates combined by max.
+    the clips an independent integrator needs: (triangle, strength) per
+    fired term, duplicates combined by max.
     """
     n = max(len(fired), 2)
     angle = uniform_variable("angle", 0.0, 1.0, tuple(f"A{i}" for i in range(n)))
@@ -61,7 +65,7 @@ def aggregate(var, fired):
     strengths = {}
     for label, s in fired:
         strengths[label] = max(s, strengths.get(label, 0.0))
-    shapes = {t.label: (t.mf.left, t.mf.peak, t.mf.right) for t in var.terms}
+    shapes = dict(var.terms)
     clips = [(shapes[label], s) for label, s in strengths.items() if s > 0]
     return (res.v_right, res.right_zero_area), clips
 
@@ -81,8 +85,8 @@ class TestFireRules:
         # inputs exactly on the peaks of angle N and distance F: only rule
         # (N, F) -> right M, left F fires, at strength 1
         rb = builtin(3, d_max=24.41)
-        e_theta = rb.angle_var.term("N").mf.peak
-        e_d = rb.distance_var.term("F").mf.peak
+        e_theta = dict(rb.angle_var.terms)["N"].peak
+        e_d = dict(rb.distance_var.terms)["F"].peak
         right, left = per_term_strengths(rb, e_theta, e_d)
         assert right == {"S": 0.0, "M": 1.0, "F": 0.0}
         assert left == {"S": 0.0, "M": 0.0, "F": 1.0}
@@ -91,8 +95,9 @@ class TestFireRules:
         rb = builtin(3, d_max=24.41)
         # halfway between Z and P angle peaks, distance exactly on F's peak:
         # (Z, F) -> (F, F) and (P, F) -> (F, M), both at 0.5
-        e_theta = 0.5 * (rb.angle_var.term("Z").mf.peak + rb.angle_var.term("P").mf.peak)
-        e_d = rb.distance_var.term("F").mf.peak
+        angle = dict(rb.angle_var.terms)
+        e_theta = 0.5 * (angle["Z"].peak + angle["P"].peak)
+        e_d = dict(rb.distance_var.terms)["F"].peak
         right, left = per_term_strengths(rb, e_theta, e_d)
         assert right == {"S": 0.0, "M": 0.0, "F": 0.5}
         assert left == {"S": 0.0, "M": 0.5, "F": 0.5}
@@ -208,7 +213,7 @@ class TestInfer:
         # (P, F) peaks: right motor gets the F shoulder (centroid 5/3), left
         # the symmetric M triangle (centroid exactly 1)
         rb = builtin(3, d_max=24.41, v_max=2.0)
-        res = infer(rb, rb.angle_var.term("P").mf.peak, 24.41)
+        res = infer(rb, dict(rb.angle_var.terms)["P"].peak, 24.41)
         assert math.isclose(res.v_right, 5.0 / 3.0, abs_tol=1e-6)
         assert math.isclose(res.v_left, 1.0, abs_tol=1e-9)
         assert res.v_right > res.v_left
@@ -414,7 +419,7 @@ def full_grid_centroid(var, strengths):
     reproduce bit for bit."""
     lo, hi = var.lo, var.hi
     xs = np.linspace(lo, hi, engine._SAMPLES)
-    curves = np.vstack([mf_eval(t.mf, xs) for t in var.terms])
+    curves = np.vstack([tri_vec(t.mf, xs) for t in var.terms])
     clips = np.asarray(strengths, dtype=float)
     mu = np.max(np.minimum(curves, clips[:, None]), axis=0)
     h = (hi - lo) / (engine._SAMPLES - 1)
@@ -515,7 +520,7 @@ class TestSampledSpans:
         xs = np.linspace(var.lo, var.hi, engine._SAMPLES)
         assert s.xs.tobytes() == xs.tobytes()
         for term, (start, stop), segment in zip(var.terms, s.spans, s.segments):
-            row = mf_eval(term.mf, xs)
+            row = tri_vec(term.mf, xs)
             assert 0 <= start < stop <= engine._SAMPLES
             nonzero = np.flatnonzero(row)
             assert start <= nonzero[0] and nonzero[-1] < stop

@@ -84,7 +84,7 @@ class TestControlStep:
 
     def test_turns_toward_positive_angle_error(self):
         rb = builtin(3, d_max=24.41, v_max=2.0)
-        band = rb.angle_var.term("P").mf.peak
+        band = dict(rb.angle_var.terms)["P"].peak
         ws = control_step(rb, Errors(24.41, band))
         assert ws.v_r > ws.v_l
 

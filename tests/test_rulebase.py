@@ -8,41 +8,47 @@ from fuzzynav.rulebase import DEFAULT_ANGLE_BAND
 from golden_tables import GOLDEN
 
 
+def cells(rb):
+    """{(angle, distance): (right, left)} consequent labels of every rule."""
+    return {(a, d): (r, l) for a, d, r, l in rb.rules}
+
+
 class TestBuiltinGrids:
     @pytest.mark.parametrize("n,count", [(3, 9), (5, 25), (7, 49)])
     def test_rule_counts(self, n, count):
         assert len(builtin(n).rules) == count
 
     def test_three_mf_example_rules(self):
-        rb = builtin(3)
+        grid = cells(builtin(3))
         # R1: angle N, distance F -> right M, left F
-        assert rb.consequents("N", "F") == ("M", "F")
+        assert grid["N", "F"] == ("M", "F")
         # R2: angle N, distance M -> right M, left F
-        assert rb.consequents("N", "M") == ("M", "F")
+        assert grid["N", "M"] == ("M", "F")
 
     def test_five_mf_example_rules(self):
-        rb = builtin(5)
+        grid = cells(builtin(5))
         # R1: angle SN, distance VF -> right M, left VF
-        assert rb.consequents("SN", "VF") == ("M", "VF")
+        assert grid["SN", "VF"] == ("M", "VF")
         # R2: angle SN, distance F -> right S, left F
-        assert rb.consequents("SN", "F") == ("S", "F")
+        assert grid["SN", "F"] == ("S", "F")
 
     def test_seven_mf_example_rules(self):
-        rb = builtin(7)
+        grid = cells(builtin(7))
         # R1: angle VSN, distance VBP -> right M, left VF2
-        assert rb.consequents("VSN", "VBP") == ("M", "VF2")
+        assert grid["VSN", "VBP"] == ("M", "VF2")
         # R2: angle VSN, distance VF -> right F, left VF2
-        assert rb.consequents("VSN", "VF") == ("F", "VF2")
+        assert grid["VSN", "VF"] == ("F", "VF2")
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_every_cell_matches_golden_transcription(self, n):
         rb = builtin(n)
+        grid = cells(rb)
         right, left = GOLDEN[n]
         for (angle, dist), expected in right.items():
-            assert rb.consequents(angle, dist)[0] == expected, f"right cell ({angle}, {dist})"
+            assert grid[angle, dist][0] == expected, f"right cell ({angle}, {dist})"
         for (angle, dist), expected in left.items():
-            assert rb.consequents(angle, dist)[1] == expected, f"left cell ({angle}, {dist})"
-        assert len(right) == len(left) == len(rb.rules)
+            assert grid[angle, dist][1] == expected, f"left cell ({angle}, {dist})"
+        assert len(right) == len(left) == len(grid) == len(rb.rules)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_builtins_validate_clean(self, n):
