@@ -95,7 +95,7 @@ def cmd_run(scenario_path: str, controller: str | None, out_dir: str, quiet: boo
         os.makedirs(out_dir, exist_ok=True)
         _write_trajectory_csv(csv_path, tuple(trajectory))
         _write_json(json_path, asdict(metrics))
-    except (ValueError, RuleDefinitionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _error(exc)
     if not quiet:
         state = "reached" if metrics.reached else "NOT reached"

@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_ANGLE_BAND",
 ]
 
-BUILTIN_SIZES = (3, 5, 7)
 DEFAULT_D_MAX = 25.0
 DEFAULT_V_MAX = 2.0
 
@@ -154,6 +153,7 @@ _GRIDS = {
     5: (_ANGLE_5, _DIST_COLS_5, _OUT_5, _RIGHT_5, _LEFT_5),
     7: (_ANGLE_7, _DIST_COLS_7, _OUT_7, _RIGHT_7, _LEFT_7),
 }
+BUILTIN_SIZES = tuple(_GRIDS)
 
 
 def builtin(

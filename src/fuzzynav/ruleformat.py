@@ -34,7 +34,7 @@ _RULE_SHAPE = (
 )
 
 
-class RuleDefinitionError(Exception):
+class RuleDefinitionError(ValueError):
     """Raised when rule-definition text cannot be parsed into a valid base."""
 
     def __init__(self, issues: list[Issue]):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .kinematics import Pose, RobotParams, WheelSpeeds, _require_finite, step_euler, wheel_to_twist
 from .navigator import Errors, Goal, compute_errors, control_step
-from .rulebase import RuleBase, builtin
+from .rulebase import BUILTIN_SIZES, RuleBase, builtin
 from .ruleformat import parse_rulebase
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "BENCHMARK_DT",
 ]
 
-BUILTIN_CONTROLLERS = ("3", "5", "7")
+BUILTIN_CONTROLLERS = tuple(str(n) for n in BUILTIN_SIZES)
 
 # Benchmark geometry: straight-line distance and control period.
 BENCHMARK_DISTANCE = 24.41
@@ -58,7 +58,8 @@ class Scenario:
     """One closed-loop run: geometry, timing, tolerances and controller.
 
     ``controller`` is "3", "5" or "7" for a built-in rule base, a path to a
-    rule-definition file, or a ready-made :class:`RuleBase`.
+    rule-definition file, or a ready-made :class:`RuleBase`.  The fields are
+    checked on construction: an invalid one raises ValueError naming it.
     """
 
     start: Pose
@@ -70,8 +71,7 @@ class Scenario:
     params: RobotParams = RobotParams()
     controller: str | RuleBase = "3"
 
-    def validate(self):
-        """Raise ValueError naming the offending field if the scenario is invalid."""
+    def __post_init__(self):
         for name in _NUMBER_FIELDS:
             _require_finite(f"scenario field '{name}'", getattr(self, name))
         if not self.dt > 0:
@@ -84,7 +84,9 @@ class Scenario:
             raise ValueError("scenario field 'goal_tol' must be > 0")
         if not self.angle_tol > 0:
             raise ValueError("scenario field 'angle_tol' must be > 0")
-        if isinstance(self.controller, str) and not self.controller:
+        if not isinstance(self.controller, (str, RuleBase)):
+            raise ValueError("scenario field 'controller' must be '3', '5', '7' or a rules-file path")
+        if self.controller == "":
             raise ValueError("scenario field 'controller' must not be empty")
 
 
@@ -122,8 +124,8 @@ def initial_distance(sc: Scenario) -> float:
     return math.hypot(sc.goal.x - sc.start.x, sc.goal.y - sc.start.y)
 
 
-def resolve_controller(sc: Scenario) -> tuple[str, RuleBase]:
-    """Materialise the scenario's controller as (label, rule base).
+def resolve_controller(sc: Scenario) -> RuleBase:
+    """Materialise the scenario's controller as a rule base.
 
     Built-in controllers size their distance universe to the scenario's
     initial start-goal distance (floored at MIN_D_MAX) and their velocity
@@ -131,10 +133,10 @@ def resolve_controller(sc: Scenario) -> tuple[str, RuleBase]:
     """
     spec = sc.controller
     if isinstance(spec, RuleBase):
-        return "custom", spec
+        return spec
     if spec in BUILTIN_CONTROLLERS:
         d_max = max(initial_distance(sc), MIN_D_MAX)
-        return spec, builtin(int(spec), d_max=d_max, v_max=sc.params.v_max)
+        return builtin(int(spec), d_max=d_max, v_max=sc.params.v_max)
     try:
         with open(spec, encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -143,7 +145,7 @@ def resolve_controller(sc: Scenario) -> tuple[str, RuleBase]:
             f"scenario field 'controller': '{spec}' is not one of 3, 5, 7 "
             f"and not a readable rules file ({exc})"
         ) from exc
-    return spec, parse_rulebase(text)
+    return parse_rulebase(text)
 
 
 def run(sc: Scenario) -> tuple[list[TrajectorySample], Metrics]:
@@ -155,8 +157,7 @@ def run(sc: Scenario) -> tuple[list[TrajectorySample], Metrics]:
     before actuation, so a run that starts at the goal never moves.
     Timestamps are k*dt exactly.
     """
-    sc.validate()
-    _, rb = resolve_controller(sc)
+    rb = resolve_controller(sc)
     trajectory: list[TrajectorySample] = []
     pose = sc.start
     k = 0
@@ -193,16 +194,16 @@ def compare(
 ) -> list[ComparisonEntry]:
     """Run the same scenario once per controller.
 
-    A failing run is reported in its row; the remaining rows are still
-    produced.  Row order follows ``controllers``.
+    A run that raises ValueError (an invalid controller, an unreadable or
+    malformed rules file) is reported in its row; the remaining rows are
+    still produced.  Row order follows ``controllers``.
     """
     entries = []
     for name in controllers:
-        candidate = replace(sc, controller=name)
         try:
-            trajectory, metrics = run(candidate)
+            trajectory, metrics = run(replace(sc, controller=name))
             entries.append(ComparisonEntry(name, metrics, tuple(trajectory)))
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             entries.append(ComparisonEntry(name, None, None, error=str(exc)))
     return entries
 
@@ -258,7 +259,10 @@ def _number(mapping: dict, key: str, where: str) -> float:
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where} field '{key}' must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal too big for a float: inf, as 1e400 parses
+        return math.inf if value > 0 else -math.inf
 
 
 def _record(cls, data: dict, where: str, **defaults):
@@ -294,13 +298,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     controller = data.get("controller", "3")
     if isinstance(controller, int) and not isinstance(controller, bool):
         controller = str(controller)
-    if not isinstance(controller, str):
-        raise ValueError("scenario field 'controller' must be '3', '5', '7' or a rules-file path")
-
     numbers = {k: _number(data, k, "scenario") for k in _NUMBER_FIELDS if k in data}
-    sc = Scenario(start=start, goal=goal, params=params, controller=controller, **numbers)
-    sc.validate()
-    return sc
+    return Scenario(start=start, goal=goal, params=params, controller=controller, **numbers)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -319,6 +318,8 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+        except RecursionError as exc:  # nesting deeper than the interpreter's recursion limit
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return scenario_from_dict(data)

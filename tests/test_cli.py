@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -241,6 +244,33 @@ class TestUnusableFiles:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert str(bad) in err and all(word in err for word in named), argv
+
+    def test_malformed_rules_controller_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.rules"
+        bad.write_text("var angle range -1 oops\n", encoding="utf-8")
+        sc = write_benchmark_scenario(tmp_path)
+        assert main(["run", "--scenario", str(sc), "--controller", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1, col 20: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("body,message", [
+        ('{"start": {"x": 0, "y": 0}, "goal": {"x": 1, "y": 1}, "dt": 1' + "0" * 400 + "}",
+         "error: scenario field 'dt' must be finite, got inf"),
+        ('{"start": ' + "[" * 100_000 + "]" * 100_000 + "}", "scenario.json: invalid JSON: "),
+    ], ids=["integer-overflowing-a-float", "nested-past-the-recursion-limit"])
+    def test_malformed_scenario_exits_1_without_a_traceback(self, tmp_path, command, body, message):
+        # in a child process, so an uncaught error shows as its traceback on stderr
+        path = tmp_path / "scenario.json"
+        path.write_text(body, encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzynav.cli", command, "--scenario", str(path), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], proc.stderr
 
 
 class TestUsageErrors:

@@ -33,6 +33,12 @@ def issues_of(text):
     return excinfo.value.issues
 
 
+def test_rule_definition_error_is_a_value_error():
+    assert issubclass(RuleDefinitionError, ValueError)
+    with pytest.raises(ValueError, match="^no variables defined$"):
+        parse_rulebase("")
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_builtin_round_trips_structurally(self, n):

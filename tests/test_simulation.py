@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import re
 from dataclasses import fields, replace
 
 import pytest
 
 from fuzzynav import (
+    ComparisonEntry,
     Goal,
     Pose,
     RobotParams,
@@ -18,7 +21,8 @@ from fuzzynav import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from fuzzynav.simulation import MAX_TICKS, initial_distance, resolve_controller
+from fuzzynav.rulebase import BUILTIN_SIZES
+from fuzzynav.simulation import BUILTIN_CONTROLLERS, MAX_TICKS, initial_distance, resolve_controller
 
 
 class TestRunLoop:
@@ -97,6 +101,26 @@ class TestRunLoop:
         with pytest_raises_named_field:
             run(Scenario(start=Pose(0, 0, 0), goal=Goal(1, 1), dt=0.0))
 
+    def test_scenario_is_checked_when_built(self):
+        with pytest.raises(ValueError, match="^scenario field 'goal_tol' must be > 0$"):
+            Scenario(start=Pose(0, 0, 0), goal=Goal(1, 1), goal_tol=0.0)
+        sc = benchmark_scenario()
+        with pytest.raises(ValueError, match="^scenario field 'angle_tol' must be finite, got nan$"):
+            replace(sc, angle_tol=math.nan)
+        for bad in (5, 3.0, True, None, ["3"]):
+            with pytest.raises(ValueError, match="^scenario field 'controller' must be '3', '5', '7' or a rules-file path$"):
+                replace(sc, controller=bad)
+        with pytest.raises(ValueError, match="^scenario field 'controller' must not be empty$"):
+            benchmark_scenario("")
+
+    def test_integer_controller_never_reads_a_file_descriptor(self, tmp_path):
+        # open(5) would read descriptor 5 and close it
+        with open(tmp_path / "held.txt", "w+", encoding="utf-8") as fh:
+            fd = fh.fileno()
+            with pytest.raises(ValueError, match="'controller'"):
+                run(benchmark_scenario(fd))
+            os.fstat(fd)
+
     def test_rule_count_matches_controller(self):
         for name, count in (("3", 9), ("5", 25), ("7", 49)):
             _, m = run(benchmark_scenario(name))
@@ -106,17 +130,19 @@ class TestRunLoop:
 class TestControllers:
     def test_builtin_distance_universe_sized_to_scenario(self):
         sc = benchmark_scenario("3")
-        label, rb = resolve_controller(sc)
-        assert label == "3"
+        rb = resolve_controller(sc)
         assert math.isclose(rb.distance_var.hi, 24.41, abs_tol=1e-12)
 
     def test_custom_rulebase_accepted_directly(self):
         rb = builtin(5, d_max=24.41)
         sc = benchmark_scenario(rb)
-        label, resolved = resolve_controller(sc)
-        assert label == "custom" and resolved is rb
+        assert resolve_controller(sc) is rb
         _, m = run(sc)
         assert m.reached and m.rule_count == 25
+
+    def test_builtin_names_follow_the_grids(self):
+        assert BUILTIN_SIZES == (3, 5, 7)
+        assert BUILTIN_CONTROLLERS == ("3", "5", "7")
 
     def test_unknown_controller_names_choices(self):
         sc = benchmark_scenario("9")
@@ -141,7 +167,7 @@ class TestControllers:
         plain, marked = tmp_path / "plain.rules", tmp_path / "bom.rules"
         plain.write_text(text, encoding="utf-8")
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        resolved = [resolve_controller(replace(benchmark_scenario(), controller=str(p)))[1] for p in (plain, marked)]
+        resolved = [resolve_controller(replace(benchmark_scenario(), controller=str(p))) for p in (plain, marked)]
         assert resolved[1] == resolved[0]
 
 
@@ -162,6 +188,22 @@ class TestCompare:
         entries = compare(benchmark_scenario(), controllers=("3", str(bad)))
         assert entries[0].metrics is not None
         assert entries[1].metrics is None and entries[1].error
+
+    def test_malformed_rules_file_gives_an_error_row(self, tmp_path):
+        bad = tmp_path / "bad.rules"
+        bad.write_text("var angle range 0 1\nrule if angle is Z\n", encoding="utf-8")
+        sc = benchmark_scenario()
+        entries = compare(sc, controllers=("3", str(bad)))
+        trajectory, metrics = run(sc)
+        assert entries[0] == ComparisonEntry("3", metrics, tuple(trajectory))
+        assert entries[1].controller == str(bad)
+        assert entries[1].metrics is None and entries[1].trajectory is None
+        assert "line 2, col 1: expected 'rule if angle is <label>" in entries[1].error
+
+    def test_empty_controller_gives_an_error_row(self):
+        entries = compare(benchmark_scenario(), controllers=("3", ""))
+        assert entries[0].metrics.reached
+        assert entries[1].error == "scenario field 'controller' must not be empty"
 
     def test_ordering_report_shape(self):
         entries = compare(benchmark_scenario())
@@ -249,11 +291,10 @@ class TestScenarioConfig:
         from dataclasses import replace
 
         at_budget = replace(benchmark_scenario(), dt=1.0, max_time=float(MAX_TICKS))
-        at_budget.validate()
         match = "'max_time' / 'dt' must not exceed"
-        for over in (replace(at_budget, max_time=MAX_TICKS + 1.0), replace(at_budget, dt=1e-9, max_time=1e9)):
+        for over in ({"max_time": MAX_TICKS + 1.0}, {"dt": 1e-9, "max_time": 1e9}):
             with pytest.raises(ValueError, match=match):
-                over.validate()
+                replace(at_budget, **over)
         path = tmp_path / "long.json"
         path.write_text(json.dumps({**self.base_config(), "dt": 1e-9, "max_time": 1e9}), encoding="utf-8")
         with pytest.raises(ValueError, match=match):
@@ -287,16 +328,29 @@ class TestScenarioConfig:
                 load_scenario(str(path))
 
     def test_load_scenario_names_the_section_of_an_overflowing_literal(self, tmp_path):
-        # json parses 1e400 to inf without calling parse_constant
+        # json parses 1e400 to inf without calling parse_constant; an integer
+        # literal too big for a float counts as inf too
         path = tmp_path / "overflow.json"
+        huge = "1" + "0" * 400
         for section, key, literal, message in (("start", "x", "1e400", "x must be finite, got inf"),
                                                ("goal", "y", "-1e400", "goal y must be finite, got -inf"),
-                                               ("params", "v_max", "1e400", "v_max must be finite, got inf")):
+                                               ("params", "v_max", "1e400", "v_max must be finite, got inf"),
+                                               ("start", "x", huge, "x must be finite, got inf"),
+                                               ("goal", "y", "-" + huge, "goal y must be finite, got -inf")):
             cfg = self.base_config()
             cfg[section][key] = "LITERAL"
             path.write_text(json.dumps(cfg).replace('"LITERAL"', literal), encoding="utf-8")
             with pytest.raises(ValueError, match=f"^scenario field '{section}': {message}$"):
                 load_scenario(str(path))
+        path.write_text(json.dumps({**self.base_config(), "dt": "LITERAL"}).replace('"LITERAL"', huge), encoding="utf-8")
+        with pytest.raises(ValueError, match="^scenario field 'dt' must be finite, got inf$"):
+            load_scenario(str(path))
+
+    def test_load_scenario_rejects_nesting_past_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"start": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid JSON: "):
+            load_scenario(str(path))
 
     def test_load_scenario_file(self, tmp_path):
         path = tmp_path / "sc.json"
