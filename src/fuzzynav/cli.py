@@ -21,6 +21,7 @@ from .rulebase import builtin, BUILTIN_SIZES
 from .ruleformat import RuleDefinitionError, parse_rulebase, render_rulebase
 from .simulation import (
     TrajectorySample,
+    _read_text,
     compare,
     load_scenario,
     ordering_report,
@@ -28,7 +29,7 @@ from .simulation import (
     scenario_to_dict,
 )
 
-__all__ = ["main", "entry", "cmd_run", "cmd_compare", "cmd_validate", "cmd_export_rules"]
+__all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -52,11 +53,6 @@ def _fmt(value: float) -> str:
 
 def _fmt_time(value: float | None, absent: str) -> str:
     return absent if value is None else _fmt(value)
-
-
-def _error(message) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_CONFIG
 
 
 def _write_text(path: str, text: str):
@@ -87,16 +83,13 @@ def cmd_run(scenario_path: str, controller: str | None, out_dir: str, quiet: boo
     """Run one scenario and write its artifacts; returns the exit code."""
     csv_path = os.path.join(out_dir, "trajectory.csv")
     json_path = os.path.join(out_dir, "metrics.json")
-    try:
-        sc = load_scenario(scenario_path)
-        if controller is not None:
-            sc = replace(sc, controller=controller)
-        trajectory, metrics = run(sc)
-        os.makedirs(out_dir, exist_ok=True)
-        _write_trajectory_csv(csv_path, tuple(trajectory))
-        _write_json(json_path, asdict(metrics))
-    except (ValueError, OSError) as exc:
-        return _error(exc)
+    sc = load_scenario(scenario_path)
+    if controller is not None:
+        sc = replace(sc, controller=controller)
+    trajectory, metrics = run(sc)
+    os.makedirs(out_dir, exist_ok=True)
+    _write_trajectory_csv(csv_path, tuple(trajectory))
+    _write_json(json_path, asdict(metrics))
     if not quiet:
         state = "reached" if metrics.reached else "NOT reached"
         when = f" at t={_fmt(metrics.time_to_target)} s" if metrics.reached else ""
@@ -123,11 +116,7 @@ def _comparison_csv_row(entry) -> str:
 
 def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> int:
     """Run the three built-in controllers on one scenario and write the table; returns the exit code."""
-    try:
-        sc = load_scenario(scenario_path)
-    except (ValueError, OSError) as exc:
-        return _error(exc)
-
+    sc = load_scenario(scenario_path)
     entries = compare(sc)
     rows = [
         {"controller": e.controller, "metrics": asdict(e.metrics) if e.metrics else None, "error": e.error}
@@ -136,21 +125,18 @@ def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> int:
     ordering = ordering_report(entries)
     csv_lines = ["controller,rule_count,time_to_target,time_angle_aligned,path_length,reached"]
     csv_lines += [_comparison_csv_row(e) for e in entries]
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        for entry in entries:
-            if entry.trajectory is not None:
-                _write_trajectory_csv(
-                    os.path.join(out_dir, f"trajectory_{entry.controller}.csv"), entry.trajectory
-                )
-                _write_json(os.path.join(out_dir, f"metrics_{entry.controller}.json"), asdict(entry.metrics))
-        _write_text(os.path.join(out_dir, "comparison.csv"), "\n".join(csv_lines) + "\n")
-        _write_json(
-            os.path.join(out_dir, "comparison.json"),
-            {"scenario": scenario_to_dict(sc), "rows": rows, "ordering": ordering},
-        )
-    except OSError as exc:
-        return _error(exc)
+    os.makedirs(out_dir, exist_ok=True)
+    for entry in entries:
+        if entry.trajectory is not None:
+            _write_trajectory_csv(
+                os.path.join(out_dir, f"trajectory_{entry.controller}.csv"), entry.trajectory
+            )
+            _write_json(os.path.join(out_dir, f"metrics_{entry.controller}.json"), asdict(entry.metrics))
+    _write_text(os.path.join(out_dir, "comparison.csv"), "\n".join(csv_lines) + "\n")
+    _write_json(
+        os.path.join(out_dir, "comparison.json"),
+        {"scenario": scenario_to_dict(sc), "rows": rows, "ordering": ordering},
+    )
 
     if not quiet:
         print(f"{'ctrl':>4}  {'rules':>5}  {'t_target':>9}  {'t_aligned':>9}  {'path':>8}  reached")
@@ -178,14 +164,7 @@ def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> int:
 def cmd_validate(rules_path: str, quiet: bool = False) -> int:
     """Parse and validate a rule-definition file; 0 iff it is clean."""
     try:
-        with open(rules_path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _error(exc)
-    except UnicodeDecodeError as exc:
-        return _error(f"{rules_path}: {exc}")
-    try:
-        rb = parse_rulebase(text)
+        rb = parse_rulebase(_read_text(rules_path))
     except RuleDefinitionError as exc:
         for issue in exc.issues:
             print(issue)
@@ -197,11 +176,7 @@ def cmd_validate(rules_path: str, quiet: bool = False) -> int:
 
 def cmd_export_rules(size: str, out_path: str, quiet: bool = False) -> int:
     """Write a built-in rule base in canonical rule-definition form."""
-    text = render_rulebase(builtin(int(size)))
-    try:
-        _write_text(out_path, text)
-    except OSError as exc:
-        return _error(exc)
+    _write_text(out_path, render_rulebase(builtin(int(size))))
     if not quiet:
         print(f"wrote {out_path}")
     return EXIT_OK
@@ -235,14 +210,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a bad input or unwritable output is one ``error:`` line and exit 1."""
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.scenario, args.controller, args.out, args.quiet)
-    if args.command == "compare":
-        return cmd_compare(args.scenario, args.out, args.quiet)
-    if args.command == "validate":
-        return cmd_validate(args.rules, args.quiet)
-    return cmd_export_rules(args.controller, args.out, args.quiet)
+    try:
+        if args.command == "run":
+            return cmd_run(args.scenario, args.controller, args.out, args.quiet)
+        if args.command == "compare":
+            return cmd_compare(args.scenario, args.out, args.quiet)
+        if args.command == "validate":
+            return cmd_validate(args.rules, args.quiet)
+        return cmd_export_rules(args.controller, args.out, args.quiet)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry():

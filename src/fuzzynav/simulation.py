@@ -129,7 +129,9 @@ def resolve_controller(sc: Scenario) -> RuleBase:
 
     Built-in controllers size their distance universe to the scenario's
     initial start-goal distance (floored at MIN_D_MAX) and their velocity
-    universe to the robot's v_max.
+    universe to the robot's v_max.  Any other name is read as a rules
+    file; one that cannot be read or parsed raises ValueError naming the
+    field and the path.
     """
     spec = sc.controller
     if isinstance(spec, RuleBase):
@@ -138,14 +140,15 @@ def resolve_controller(sc: Scenario) -> RuleBase:
         d_max = max(initial_distance(sc), MIN_D_MAX)
         return builtin(int(spec), d_max=d_max, v_max=sc.params.v_max)
     try:
-        with open(spec, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        text = _read_text(spec)
+    except ValueError as exc:
         raise ValueError(
-            f"scenario field 'controller': '{spec}' is not one of 3, 5, 7 "
-            f"and not a readable rules file ({exc})"
+            f"scenario field 'controller' is not one of 3, 5, 7 and not a readable rules file: {exc}"
         ) from exc
-    return parse_rulebase(text)
+    try:
+        return parse_rulebase(text)
+    except ValueError as exc:
+        raise ValueError(f"scenario field 'controller': {spec}: {exc}") from exc
 
 
 def run(sc: Scenario) -> tuple[list[TrajectorySample], Metrics]:
@@ -307,19 +310,32 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return asdict(sc if isinstance(sc.controller, str) else replace(sc, controller="custom"))
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 input file, a leading byte-order mark skipped.
+
+    A file that cannot be opened, read or decoded raises ValueError naming
+    ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except OSError as exc:  # strerror alone: str(exc) repeats the path
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_scenario(path: str) -> Scenario:
     """Read a JSON scenario config; see ``docs/scenario_format.md``."""
 
     def reject(token: str):  # NaN, Infinity, -Infinity: valid for Python's json only
-        raise ValueError(f"{path}: invalid JSON: non-finite number '{token}'")
+        raise ValueError(f"non-finite number '{token}'")
 
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            data = json.load(fh, parse_constant=reject)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
-        except RecursionError as exc:  # nesting deeper than the interpreter's recursion limit
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    text = _read_text(path)
+    try:
+        data = json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # a rejected token, too many digits, too deep a nesting
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     return scenario_from_dict(data)

@@ -189,10 +189,6 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 3
         assert "no variables defined" in capsys.readouterr().out
 
-    def test_unreadable_file_exits_1(self, tmp_path, capsys):
-        assert main(["validate", str(tmp_path / "missing.rules")]) == 1
-        assert capsys.readouterr().err
-
     def test_issue_lines_carry_positions(self, tmp_path, capsys):
         path = tmp_path / "bad.rules"
         path.write_text("var angle range -1 oops\n", encoding="utf-8")
@@ -231,34 +227,41 @@ class TestUnusableFiles:
             assert err.startswith("error: ") and str(blocker) in err
 
     def test_non_utf8_file_exits_1_naming_the_path(self, tmp_path, capsys):
-        bad = tmp_path / "latin1.txt"
-        bad.write_bytes("# caf\xe9\n".encode("latin-1"))
+        # a file that is not UTF-8, one that is missing and a directory
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("# caf\xe9\n".encode("latin-1"))
         sc, out = str(write_benchmark_scenario(tmp_path, max_time=1.0)), str(tmp_path / "o")
-        for argv, named in (
-            (["validate", str(bad)], ()),
-            (["run", "--scenario", str(bad), "--out", out], ()),
-            (["compare", "--scenario", str(bad), "--out", out], ()),
-            (["run", "--scenario", sc, "--controller", str(bad), "--out", out], ("'controller'",)),
-        ):
-            assert main(argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert str(bad) in err and all(word in err for word in named), argv
+        for bad in (str(latin1), str(tmp_path / "missing.txt"), str(tmp_path)):
+            for argv, named in (
+                (["validate", bad], ()),
+                (["run", "--scenario", bad, "--out", out], ()),
+                (["compare", "--scenario", bad, "--out", out], ()),
+                (["run", "--scenario", sc, "--controller", bad, "--out", out], ("'controller'",)),
+            ):
+                assert main(argv) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert bad in err and all(word in err for word in named), argv
 
     def test_malformed_rules_controller_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.rules"
         bad.write_text("var angle range -1 oops\n", encoding="utf-8")
-        sc = write_benchmark_scenario(tmp_path)
-        assert main(["run", "--scenario", str(sc), "--controller", str(bad), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: line 1, col 20: ") and err.count("\n") == 1
+        # given by --controller, then as the scenario's own controller
+        for in_scenario, flag in (("3", ["--controller", str(bad)]), (str(bad), [])):
+            sc = write_benchmark_scenario(tmp_path, controller=in_scenario)
+            assert main(["run", "--scenario", str(sc), *flag, "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: scenario field 'controller': {bad}: line 1, col 20: "), err
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("body,message", [
         ('{"start": {"x": 0, "y": 0}, "goal": {"x": 1, "y": 1}, "dt": 1' + "0" * 400 + "}",
          "error: scenario field 'dt' must be finite, got inf"),
         ('{"start": ' + "[" * 100_000 + "]" * 100_000 + "}", "scenario.json: invalid JSON: "),
-    ], ids=["integer-overflowing-a-float", "nested-past-the-recursion-limit"])
+        ('{"start": {"x": 0, "y": 0}, "goal": {"x": 1, "y": 1}, "dt": 1' + "0" * 5000 + "}",
+         "scenario.json: invalid JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["integer-overflowing-a-float", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"])
     def test_malformed_scenario_exits_1_without_a_traceback(self, tmp_path, command, body, message):
         # in a child process, so an uncaught error shows as its traceback on stderr
         path = tmp_path / "scenario.json"

@@ -198,7 +198,9 @@ class TestCompare:
         assert entries[0] == ComparisonEntry("3", metrics, tuple(trajectory))
         assert entries[1].controller == str(bad)
         assert entries[1].metrics is None and entries[1].trajectory is None
-        assert "line 2, col 1: expected 'rule if angle is <label>" in entries[1].error
+        assert entries[1].error.startswith(
+            f"scenario field 'controller': {bad}: line 2, col 1: expected 'rule if angle is <label>"
+        )
 
     def test_empty_controller_gives_an_error_row(self):
         entries = compare(benchmark_scenario(), controllers=("3", ""))
@@ -349,6 +351,14 @@ class TestScenarioConfig:
     def test_load_scenario_rejects_nesting_past_the_recursion_limit(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text('{"start": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid JSON: "):
+            load_scenario(str(path))
+
+    def test_load_scenario_rejects_an_integer_past_the_digit_limit(self, tmp_path):
+        # int() refuses more than 4300 digits by default, before any float overflow
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({**self.base_config(), "dt": "LITERAL"}).replace('"LITERAL"', "1" + "0" * 5000),
+                        encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid JSON: "):
             load_scenario(str(path))
 
