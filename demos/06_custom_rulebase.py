@@ -1,13 +1,13 @@
 """Authoring a controller in the rule-definition text format.
 
-Writes a small aggressive 3x3 controller by hand, parses and validates it,
-and runs it on the benchmark scenario.  The same file can be driven from
-the command line:  fuzzynav run --scenario <sc.json> --controller my.rules
+Writes a small aggressive 3x3 controller by hand, parses it (which checks
+the grid) and runs it on the benchmark scenario.  The same file can be
+driven from the command line:  fuzzynav run --scenario <sc.json> --controller my.rules
 """
 import os
 from dataclasses import replace
 
-from fuzzynav import benchmark_scenario, parse_rulebase, render_rulebase, run, validate
+from fuzzynav import benchmark_scenario, parse_rulebase, render_rulebase, run
 
 TEXT = """\
 # hand-written goal-seeker: three terms per variable, bang-bang steering
@@ -43,7 +43,7 @@ rule if angle is P and distance is Z then right is M, left is S
 """
 
 rb = parse_rulebase(TEXT)
-print(f"parsed {len(rb.rules)} rules; validation issues: {validate(rb) or 'none'}")
+print(f"parsed {len(rb.rules)} rules over a {len(rb.angle_var.terms)}x{len(rb.distance_var.terms)} grid")
 
 trajectory, metrics = run(replace(benchmark_scenario(), controller=rb))
 print(f"benchmark with the hand-written controller: reached={metrics.reached} "

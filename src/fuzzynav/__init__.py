@@ -20,7 +20,6 @@ from .rulebase import (
     Rule,
     RuleBase,
     builtin,
-    validate,
 )
 from .ruleformat import RuleDefinitionError, parse_rulebase, render_rulebase
 from .kinematics import (
@@ -94,7 +93,6 @@ __all__ = [
     "step_euler",
     "step_exact",
     "uniform_variable",
-    "validate",
     "wheel_to_twist",
     "wrap_angle",
 ]

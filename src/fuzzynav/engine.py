@@ -5,7 +5,7 @@ output term the max strength of the rules naming it, clip the terms at
 those strengths, aggregate with max, and defuzzify by centroid (trapezoid
 rule on a fixed 8001-point grid).  A rule base is compiled on its first
 inference into a table from each (angle term, distance term) cell to its
-rules' consequents and output terms sampled on that grid, each kept only
+rule's consequent pair and output terms sampled on that grid, each kept only
 on the span of grid indices where it is non-zero.  Clipping and aggregation
 run only over the spans of the terms that fired; every sample outside them
 is exactly zero, and the trapezoid sums still run over all 8001 points, so
@@ -164,7 +164,7 @@ def _centroid(sampled: _Sampled, strengths) -> tuple[float, bool]:
 
 def _term_strengths(cells, n_right: int, n_left: int, angle, dist) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(right, left) per-term strengths from the two inputs' degrees: for
-    each output term, the max min-AND strength of the rules naming it.
+    each output term, the max min-AND strength of the cells naming it.
 
     Only cells whose two degrees are both > 0.0 fire.  Any other cell's
     strength is 0.0 or -0.0, which cannot raise a max that starts at 0.0,
@@ -179,27 +179,27 @@ def _term_strengths(cells, n_right: int, n_left: int, angle, dist) -> tuple[tupl
         if deg > 0.0:
             for d, d_deg in hot:
                 s = d_deg if d_deg < deg else deg
-                for r, l in row[d]:
-                    if s > right[r]:
-                        right[r] = s
-                    if s > left[l]:
-                        left[l] = s
+                r, l = row[d]
+                if s > right[r]:
+                    right[r] = s
+                if s > left[l]:
+                    left[l] = s
     return tuple(right), tuple(left)
 
 
 class CompiledRuleBase(NamedTuple):
     """A rule base resolved for inference.
 
-    ``cells[a][d]`` holds the (right, left) consequents of the rules on
-    cell (a, d), in rule order (none for a cell the grid leaves out);
-    ``right`` and ``left`` the sampled output universes.
+    ``cells[a][d]`` holds the (right, left) consequent term indices of the
+    rule on cell (a, d); ``right`` and ``left`` the sampled output
+    universes.
     ``outputs(angle, dist)`` is the crisp ``InferenceResult`` for the two
     inputs' degrees, memoised on them.
     """
 
     angle_var: LinguisticVariable
     distance_var: LinguisticVariable
-    cells: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    cells: tuple[tuple[tuple[int, int], ...], ...]
     right: _Sampled
     left: _Sampled
     outputs: Callable[[tuple[float, ...], tuple[float, ...]], InferenceResult]
@@ -208,10 +208,10 @@ class CompiledRuleBase(NamedTuple):
     def of(cls, angle_var: LinguisticVariable, distance_var: LinguisticVariable,
            right_var: LinguisticVariable, left_var: LinguisticVariable, rules) -> CompiledRuleBase:
         """Compile from the four variables and each rule's resolved term indices."""
-        grid = [[[] for _ in distance_var.terms] for _ in angle_var.terms]
+        grid = [[None] * len(distance_var.terms) for _ in angle_var.terms]
         for a, d, r, l in rules:
-            grid[a][d].append((r, l))
-        cells = tuple(tuple(tuple(cell) for cell in row) for row in grid)
+            grid[a][d] = (r, l)
+        cells = tuple(map(tuple, grid))
         # keyed by geometry, so equal right and left variables share one sampling
         right, left = (_sample(v.lo, v.hi, tuple(t.mf for t in v.terms)) for v in (right_var, left_var))
         n_right, n_left = len(right_var.terms), len(left_var.terms)

@@ -20,7 +20,6 @@ __all__ = [
     "RuleBase",
     "Issue",
     "builtin",
-    "validate",
     "BUILTIN_SIZES",
     "DEFAULT_D_MAX",
     "DEFAULT_V_MAX",
@@ -52,8 +51,9 @@ class Rule(NamedTuple):
 class RuleBase:
     """A complete two-input, two-output rule grid with its four variables.
 
-    Construction is permissive; use :func:`validate` to check the grid
-    invariants (complete, duplicate-free, all labels resolving).
+    Construction checks that every label resolves and every (angle term,
+    distance term) cell holds exactly one rule, or raises one ValueError
+    listing every problem, joined by ``"; "``, as ``parse_rulebase`` words them.
     """
 
     angle_var: LinguisticVariable
@@ -62,19 +62,22 @@ class RuleBase:
     left_var: LinguisticVariable
     rules: tuple[Rule, ...]
 
+    def __post_init__(self):
+        indices, problems = _resolve((self.angle_var, self.distance_var, self.right_var, self.left_var), self.rules)
+        if problems:
+            raise ValueError("; ".join(p.message for p in problems))
+        # each rule's (angle, distance, right, left) term indices, for the compile
+        object.__setattr__(self, "_indices", indices)
+
     @cached_property
     def compiled(self) -> CompiledRuleBase:
-        """Resolved for inference on first use; ValueError names the first unresolved label."""
-        indices, problems = _resolve(self)
-        for p in problems:
-            if p.role is not None:
-                raise ValueError(p.message)
-        return CompiledRuleBase.of(self.angle_var, self.distance_var, self.right_var, self.left_var, indices)
+        """Built for inference on first use."""
+        return CompiledRuleBase.of(self.angle_var, self.distance_var, self.right_var, self.left_var, self._indices)
 
 
 @dataclass(frozen=True)
 class Issue:
-    """A single validation or parse problem, optionally position-anchored."""
+    """One problem in rule-definition text, optionally position-anchored."""
 
     message: str
     line: int | None = None
@@ -182,7 +185,7 @@ def builtin(
     if not 0 < v_max < math.inf:
         raise ValueError(f"v_max must be finite and > 0, got {v_max}")
     if not 0 < angle_band <= math.pi:
-        raise ValueError("angle_band must lie in (0, pi]")
+        raise ValueError(f"angle_band must lie in (0, pi], got {angle_band}")
     angle_labels, dist_cols, out_labels, right_grid, left_grid = _GRIDS[n_mfs]
     angle = uniform_variable(
         "angle", -math.pi, math.pi, angle_labels, peak_span=(-angle_band, angle_band)
@@ -199,7 +202,7 @@ def builtin(
 
 
 class _Problem(NamedTuple):
-    """A grid problem: ``rule`` indexes ``rb.rules`` (None for a missing cell),
+    """A grid problem: ``rule`` indexes the rules (None for a missing cell),
     ``role`` names an unresolved label's column, and ``first`` indexes the
     rule that first defined a duplicated cell.
     """
@@ -214,17 +217,17 @@ _COLUMNS = (("antecedent", "angle"), ("antecedent", "distance"),
             ("consequent", "right"), ("consequent", "left"))
 
 
-def _resolve(rb: RuleBase) -> tuple[tuple[tuple[int, int, int, int], ...], list[_Problem]]:
-    """Resolve every rule of ``rb`` to its (angle, distance, right, left) term
-    indices, and list the grid problems: unresolved labels (index -1),
-    duplicate cells and missing cells, in rule order with missing cells last.
+def _resolve(variables: tuple, rules: tuple) -> tuple[tuple[tuple[int, int, int, int], ...], list[_Problem]]:
+    """Resolve every rule against the (angle, distance, right, left)
+    variables to its four term indices, and list the grid problems:
+    unresolved labels (index -1), duplicate cells and missing cells, in
+    rule order with missing cells last.
     """
-    variables = (rb.angle_var, rb.distance_var, rb.right_var, rb.left_var)
     positions = [{label: i for i, label in enumerate(var.labels)} for var in variables]
-    indices = tuple(tuple(pos.get(label, -1) for pos, label in zip(positions, r)) for r in rb.rules)
+    indices = tuple(tuple(pos.get(label, -1) for pos, label in zip(positions, r)) for r in rules)
     problems: list[_Problem] = []
     first: dict[tuple[str, str], int] = {}
-    for n, r in enumerate(rb.rules):
+    for n, r in enumerate(rules):
         for (kind, role), pos, label in zip(_COLUMNS, positions, r):
             if label not in pos:
                 problems.append(_Problem(f"unresolved {kind}: {role} term '{label}' not defined", n, role))
@@ -234,15 +237,5 @@ def _resolve(rb: RuleBase) -> tuple[tuple[tuple[int, int, int, int], ...], list[
         else:
             first[cell] = n
     problems += [_Problem(f"incomplete grid: ({a}, {d}) undefined")
-                 for a in rb.angle_var.labels for d in rb.distance_var.labels if (a, d) not in first]
+                 for a in variables[0].labels for d in variables[1].labels if (a, d) not in first]
     return indices, problems
-
-
-def validate(rb: RuleBase) -> list[Issue]:
-    """Check the rule-grid invariants; an empty list means the base is valid.
-
-    Reported issues: antecedent or consequent labels that do not resolve
-    against their variable, duplicated grid cells, and missing cells (the
-    grid must be the full angle x distance product).
-    """
-    return [Issue(p.message) for p in _resolve(rb)[1]]

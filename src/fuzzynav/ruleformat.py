@@ -84,13 +84,16 @@ class _Parser:
         variables = self._build_variables()
         if len(variables) < len(ROLE_NAMES):
             raise RuleDefinitionError(self.issues)  # skip the grid check's cascades
-        rb = RuleBase(*(variables[role] for role in ROLE_NAMES), tuple(r for _, _, r in self.rule_decls))
-        for p in _resolve(rb)[1]:
-            line, cols, _ = self.rule_decls[p.rule] if p.rule is not None else (None, {}, None)
-            if p.first is None:
-                self.fail(p.message, line, cols.get(p.role))
-            else:
-                self.fail(f"{p.message} first defined on line {self.rule_decls[p.first][0]}", line, cols["angle"])
+        rules = tuple(r for _, _, r in self.rule_decls)
+        try:
+            rb = RuleBase(*variables, rules)
+        except ValueError:  # the grid check failed: report its problems at their positions
+            for p in _resolve(variables, rules)[1]:
+                line, cols, _ = self.rule_decls[p.rule] if p.rule is not None else (None, {}, None)
+                if p.first is None:
+                    self.fail(p.message, line, cols.get(p.role))
+                else:
+                    self.fail(f"{p.message} first defined on line {self.rule_decls[p.first][0]}", line, cols["angle"])
         if self.issues:
             raise RuleDefinitionError(self.issues)
         return rb
@@ -172,12 +175,12 @@ class _Parser:
         cols = dict(zip(("angle", "distance", "right", "left"), label_cols))
         self.rule_decls.append((lineno, cols, Rule(*labels)))
 
-    def _build_variables(self) -> dict[str, LinguisticVariable]:
+    def _build_variables(self) -> list[LinguisticVariable]:
         if not self.var_decls.keys() - self.broken:
             if not self.issues:
                 self.fail("no variables defined")
-            return {}
-        variables: dict[str, LinguisticVariable] = {}
+            return []
+        variables: list[LinguisticVariable] = []
         for role in ROLE_NAMES:
             if role not in self.var_decls:
                 self.fail(f"variable '{role}' not defined")
@@ -190,7 +193,7 @@ class _Parser:
                 self.fail(f"variable '{role}' has no terms", line)
                 continue
             try:
-                variables[role] = LinguisticVariable(role, lo, hi, tuple(t for _, t in terms))
+                variables.append(LinguisticVariable(role, lo, hi, tuple(t for _, t in terms)))
             except ValueError as exc:
                 self.fail(str(exc), line)
         return variables
@@ -212,6 +215,9 @@ def render_rulebase(rb: RuleBase) -> str:
     grid order (angle-major).  Numbers use ``repr`` so values round-trip
     exactly; ``parse_rulebase(render_rulebase(rb))`` reproduces ``rb`` when
     its terms are already peak-ordered.
+
+    A term label that is not one token (empty, or holding whitespace, ``,``
+    or ``#``) would not parse back: ValueError names its variable and it.
     """
     variables = dict(zip(ROLE_NAMES, (rb.angle_var, rb.distance_var, rb.right_var, rb.left_var)))
     lines = []
@@ -219,8 +225,10 @@ def render_rulebase(rb: RuleBase) -> str:
         lines.append(f"var {role} range {var.lo!r} {var.hi!r}")
     for role, var in variables.items():
         for t in sorted(var.terms, key=lambda t: (t.mf.peak, t.mf.left, t.mf.right, t.label)):
+            if _tokenize(t.label) != [(t.label, 1)]:
+                raise ValueError(f"variable '{role}': term label {t.label!r} is not one rules-format token")
             lines.append(f"term {role} {t.label} tri {t.mf.left!r} {t.mf.peak!r} {t.mf.right!r}")
-    for _, r in sorted(zip(_resolve(rb)[0], rb.rules), key=lambda pair: pair[0][:2]):
+    for _, r in sorted(zip(rb._indices, rb.rules), key=lambda pair: pair[0][:2]):
         lines.append(
             f"rule if angle is {r.angle_term} and distance is {r.distance_term} "
             f"then right is {r.right_term}, left is {r.left_term}"

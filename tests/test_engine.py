@@ -18,7 +18,6 @@ from fuzzynav import (
     uniform_variable,
 )
 from fuzzynav import engine
-from fuzzynav.rulebase import _resolve
 
 
 def tri_vec(mf, xs):
@@ -49,8 +48,10 @@ def brute_centroid(clips, lo, hi, n=100001):
 def aggregate(var, fired):
     """Defuzzify (label, strength) consequents of ``var`` through the memo ``infer`` calls.
 
-    One rule per consequent, each on its own angle term whose degree is the
-    given strength; every rule shares one distance term at degree 1.
+    One rule per consequent on distance term Z, each on its own angle term
+    whose degree is the given strength; Z is at degree 1 and the other
+    distance terms at 0, so the grid's other rules (the first term of
+    ``var`` as filler) never fire.
     Returns the crisp ``(value, zero_area)`` of ``rb.compiled.outputs`` and
     the clips an independent integrator needs: (triangle, strength) per
     fired term, duplicates combined by max.
@@ -58,8 +59,13 @@ def aggregate(var, fired):
     n = max(len(fired), 2)
     angle = uniform_variable("angle", 0.0, 1.0, tuple(f"A{i}" for i in range(n)))
     distance = builtin(3).distance_var
-    rules = tuple(Rule(f"A{i}", "Z", label, label) for i, (label, _) in enumerate(fired))
-    rb = RuleBase(angle, distance, var, var, rules)
+    labels = [label for label, _ in fired] + [var.labels[0]] * (n - len(fired))
+    rules = []
+    for i, label in enumerate(labels):
+        for d in distance.labels:
+            out = label if d == "Z" else var.labels[0]
+            rules.append(Rule(f"A{i}", d, out, out))
+    rb = RuleBase(angle, distance, var, var, tuple(rules))
     degrees = tuple(s for _, s in fired) + (0.0,) * (n - len(fired))
     res = rb.compiled.outputs(degrees, fuzzify(distance, 0.0))
     strengths = {}
@@ -254,7 +260,9 @@ def dense_reference(rb, e_theta, e_d):
     angle, dist = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
     right = [0.0] * len(rb.right_var.terms)
     left = [0.0] * len(rb.left_var.terms)
-    for a, d, r, l in _resolve(rb)[0]:
+    variables = (rb.angle_var, rb.distance_var, rb.right_var, rb.left_var)
+    for rule in rb.rules:
+        a, d, r, l = (var.labels.index(label) for var, label in zip(variables, rule))
         s = min(angle[a], dist[d])
         right[r] = max(right[r], s)
         left[l] = max(left[l], s)
@@ -283,12 +291,9 @@ def dense_rules_text(seed=3):
 
 
 def sparse_cases():
-    """The built-ins, the dense rules file, and builtin(3) without its N row
-    (a grid the compile accepts; an N heading fires nothing, so zero area)."""
+    """The built-ins and the dense rules file."""
     rbs = {f"builtin({n})": builtin(n, d_max=24.41) for n in (3, 5, 7)}
     rbs["dense file"] = parse_rulebase(dense_rules_text())
-    b3 = builtin(3, d_max=24.41)
-    rbs["builtin(3) minus row N"] = RuleBase(b3.angle_var, b3.distance_var, b3.right_var, b3.left_var, b3.rules[3:])
     return rbs
 
 
@@ -317,10 +322,10 @@ class TestSparseFiring:
             got = tuple(tuple(per_term.values()) for per_term in per_term_strengths(rb, e_theta, e_d))
             assert [hexed(s) for s in got] == [hexed(s) for s in strengths], (e_theta, e_d)
             assert all(0.0 <= s <= 1.0 for s in got[0] + got[1])
-            assert max(got[0]) > 0.0 or name == "builtin(3) minus row N", (e_theta, e_d)
+            assert max(got[0]) > 0.0, (e_theta, e_d)
             assert hexed(infer(rb, e_theta, e_d)) == hexed(want), (e_theta, e_d)
             flagged += want.right_zero_area
-        assert (flagged > 0) == (name == "builtin(3) minus row N")
+        assert flagged == 0
 
     def test_dense_file_has_more_than_two_degrees_per_input(self):
         rb = parse_rulebase(dense_rules_text())
@@ -374,28 +379,31 @@ class TestSparseFiring:
 
 
 def mirrored_cases():
-    """(rule base, e_theta, e_d) whose right and left strengths are equal:
-    straight ahead on a built-in, nothing firing on builtin(3) without its
-    N row (both outputs flagged), and straight ahead on builtin(3) with a
-    wider left range (two samplings)."""
+    """(rule base, angle degrees, distance degrees) whose right and left
+    strengths are equal: straight ahead on a built-in, all-zero angle
+    degrees on builtin(3), so nothing fires and both outputs are flagged
+    (``fuzzify`` never returns them on a covered universe, so they go to
+    the memo directly), and straight ahead on builtin(3) with a wider left
+    range (two samplings)."""
+    def ahead(rb):
+        return rb, fuzzify(rb.angle_var, 0.0), fuzzify(rb.distance_var, 10.0)
+
     b3 = builtin(3, d_max=24.41)
     wide_left = render_rulebase(builtin(3)).replace("var left range 0.0 2.0", "var left range 0.0 3.0")
     return {
-        "builtin(5) straight ahead": (builtin(5, d_max=24.41), 0.0, 10.0),
-        "builtin(3) minus row N": (RuleBase(b3.angle_var, b3.distance_var, b3.right_var, b3.left_var, b3.rules[3:]),
-                                   -3.0, 10.0),
-        "left range wider than right": (parse_rulebase(wide_left), 0.0, 10.0),
+        "builtin(5) straight ahead": ahead(builtin(5, d_max=24.41)),
+        "nothing fired": (b3, (0.0, 0.0, 0.0), fuzzify(b3.distance_var, 10.0)),
+        "left range wider than right": ahead(parse_rulebase(wide_left)),
     }
 
 
 class TestMirroredOutputs:
     @pytest.mark.parametrize("name", sorted(mirrored_cases()))
     def test_equal_strengths_defuzzify_once_per_sampling(self, name, monkeypatch):
-        rb, e_theta, e_d = mirrored_cases()[name]
+        rb, angle, dist = mirrored_cases()[name]
         compiled = rb.compiled
         shared = name != "left range wider than right"
         assert (compiled.left is compiled.right) == shared
-        angle, dist = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
         rs, ls = engine._term_strengths(compiled.cells, len(rb.right_var.terms), len(rb.left_var.terms), angle, dist)
         assert rs == ls
         right, left = engine._centroid(compiled.right, rs), engine._centroid(compiled.left, ls)
@@ -409,7 +417,7 @@ class TestMirroredOutputs:
         got = compiled.outputs(angle, dist)
         assert len(calls) == (1 if shared else 2)
         assert hexed(got) == hexed((right[0], left[0], right[1], left[1]))
-        assert got.right_zero_area == (name == "builtin(3) minus row N")
+        assert got.right_zero_area == (name == "nothing fired")
         assert (got.v_left == got.v_right) == shared
 
 
@@ -531,16 +539,12 @@ class TestSampledSpans:
 
 
 class TestErrorPaths:
-    def test_infer_rejects_unresolvable_antecedent(self):
-        from fuzzynav import Rule, RuleBase
-
+    def test_unresolvable_antecedent_rejected_before_inference(self):
         rb = builtin(3)
-        broken = RuleBase(
-            rb.angle_var, rb.distance_var, rb.right_var, rb.left_var,
-            (Rule("QQ", "F", "M", "F"),) + rb.rules[1:],
-        )
-        with pytest.raises(ValueError, match="antecedent"):
-            infer(broken, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^unresolved antecedent: angle term 'QQ' not defined; "
+                                             r"incomplete grid: \(N, Z\) undefined$"):
+            RuleBase(rb.angle_var, rb.distance_var, rb.right_var, rb.left_var,
+                     (Rule("QQ", "F", "M", "F"),) + rb.rules[1:])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["e_theta", "e_d"])

@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from fuzzynav import Rule, RuleBase, builtin, validate
+from fuzzynav import Rule, RuleBase, builtin, infer, parse_rulebase, render_rulebase, rulebase, ruleformat
 from fuzzynav.rulebase import DEFAULT_ANGLE_BAND
 
 from golden_tables import GOLDEN
@@ -51,8 +52,11 @@ class TestBuiltinGrids:
         assert len(right) == len(left) == len(grid) == len(rb.rules)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_builtins_validate_clean(self, n):
-        assert validate(builtin(n)) == []
+    def test_builtins_compile_one_consequent_pair_per_cell(self, n):
+        rb = builtin(n)
+        cells = rb.compiled.cells
+        assert [len(row) for row in cells] == [len(rb.distance_var.terms)] * len(rb.angle_var.terms)
+        assert all(isinstance(r, int) and isinstance(l, int) for row in cells for r, l in row)
 
     def test_unknown_size_rejected(self):
         with pytest.raises(ValueError, match="3, 5, 7"):
@@ -63,8 +67,11 @@ class TestBuiltinGrids:
             builtin(3, d_max=0.0)
         with pytest.raises(ValueError, match="v_max"):
             builtin(3, v_max=-1.0)
-        with pytest.raises(ValueError, match="angle_band"):
-            builtin(3, angle_band=4.0)
+
+    @pytest.mark.parametrize("bad", [4.0, 0.0, math.nan])
+    def test_angle_band_rejected_with_its_value(self, bad):
+        with pytest.raises(ValueError, match=rf"^angle_band must lie in \(0, pi\], got {bad}$"):
+            builtin(3, angle_band=bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["d_max", "v_max"])
@@ -103,37 +110,68 @@ class TestBuiltinLayout:
         assert rb.right_var.hi == 1.5
 
 
-class TestValidate:
+def grid_error(rules):
+    """The message of the ValueError that building builtin(3)'s variables with ``rules`` raises."""
+    rb = builtin(3)
+    with pytest.raises(ValueError) as excinfo:
+        RuleBase(rb.angle_var, rb.distance_var, rb.right_var, rb.left_var, tuple(rules))
+    return str(excinfo.value)
+
+
+class TestGridCheck:
+    """A rule base is checked once, when it is built."""
+
     def test_duplicate_cell_reported_once(self):
-        rb = builtin(3)
-        dup = RuleBase(
-            rb.angle_var, rb.distance_var, rb.right_var, rb.left_var,
-            rb.rules + (Rule("Z", "Z", "S", "S"),),
-        )
-        messages = [i.message for i in validate(dup)]
-        assert messages == ["duplicate cell: (Z, Z)"]
+        assert grid_error(builtin(3).rules + (Rule("Z", "Z", "S", "S"),)) == "duplicate cell: (Z, Z)"
 
     def test_unresolved_consequent_reported_per_rule(self):
-        rb = builtin(3)
-        rules = list(rb.rules)
+        rules = list(builtin(3).rules)
         rules[0] = rules[0]._replace(right_term="XX")
         rules[1] = rules[1]._replace(right_term="XX")
-        broken = RuleBase(rb.angle_var, rb.distance_var, rb.right_var, rb.left_var, tuple(rules))
-        messages = [i.message for i in validate(broken)]
-        assert messages.count("unresolved consequent: right term 'XX' not defined") == 2
+        assert grid_error(rules).split("; ") == ["unresolved consequent: right term 'XX' not defined"] * 2
 
     def test_incomplete_grid_names_the_missing_cell(self):
-        rb = builtin(3)
-        shy = RuleBase(
-            rb.angle_var, rb.distance_var, rb.right_var, rb.left_var,
-            tuple(r for r in rb.rules if (r.angle_term, r.distance_term) != ("P", "M")),
-        )
-        messages = [i.message for i in validate(shy)]
-        assert messages == ["incomplete grid: (P, M) undefined"]
+        rules = [r for r in builtin(3).rules if (r.angle_term, r.distance_term) != ("P", "M")]
+        assert grid_error(rules) == "incomplete grid: (P, M) undefined"
 
     def test_unresolved_antecedent(self):
+        rules = builtin(3).rules
+        message = grid_error(rules[:-1] + (rules[-1]._replace(angle_term="QQ"),))
+        assert message.split("; ") == [
+            "unresolved antecedent: angle term 'QQ' not defined",
+            "incomplete grid: (P, F) undefined",
+        ]
+
+    def test_every_problem_listed_in_rule_order_with_missing_cells_last(self):
+        rules = list(builtin(3).rules)
+        rules = rules[1:] + [rules[4]._replace(distance_term="XX"), rules[5]]
+        assert grid_error(rules).split("; ") == [
+            "unresolved antecedent: distance term 'XX' not defined",
+            "duplicate cell: (Z, F)",
+            "incomplete grid: (N, Z) undefined",
+        ]
+
+    def test_replace_checks_the_new_rules(self):
         rb = builtin(3)
-        rules = rb.rules[:-1] + (rb.rules[-1]._replace(angle_term="QQ"),)
-        broken = RuleBase(rb.angle_var, rb.distance_var, rb.right_var, rb.left_var, rules)
-        messages = [i.message for i in validate(broken)]
-        assert "unresolved antecedent: angle term 'QQ' not defined" in messages
+        with pytest.raises(ValueError, match=r"^incomplete grid: \(N, Z\) undefined; incomplete grid: \(N, M\) undefined; "
+                                             r"incomplete grid: \(N, F\) undefined$"):
+            replace(rb, rules=rb.rules[3:])
+        with pytest.raises(ValueError, match=r"^duplicate cell: \(N, Z\)$"):
+            replace(rb, rules=rb.rules + rb.rules[:1])
+        assert replace(rb, rules=rb.rules) == rb
+
+    def test_each_base_is_resolved_once_when_built(self, monkeypatch):
+        calls = []
+
+        def counting(*args, _resolve=rulebase._resolve):
+            calls.append(args)
+            return _resolve(*args)
+
+        for module in (rulebase, ruleformat):
+            monkeypatch.setattr(module, "_resolve", counting)
+        text = render_rulebase(builtin(5))
+        assert len(calls) == 1
+        rb = parse_rulebase(text)
+        assert len(calls) == 2
+        infer(rb, 0.1, 3.0)
+        assert len(calls) == 2

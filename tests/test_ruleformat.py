@@ -1,6 +1,6 @@
 import pytest
 
-from fuzzynav import RuleBase, RuleDefinitionError, builtin, parse_rulebase, render_rulebase, validate
+from fuzzynav import RuleBase, RuleDefinitionError, builtin, parse_rulebase, render_rulebase, uniform_variable
 
 
 MINIMAL = """\
@@ -48,7 +48,6 @@ class TestRoundTrip:
     def test_minimal_file_parses_and_validates(self):
         rb = parse_rulebase(MINIMAL)
         assert len(rb.rules) == 4
-        assert validate(rb) == []
 
     def test_render_is_canonical_fixed_point(self):
         text = render_rulebase(builtin(5))
@@ -143,30 +142,35 @@ class TestParseErrors:
         assert str(issues[0]).startswith("line 1, col 20:")
 
 
-def _with_rules(rb, rules):
-    return RuleBase(rb.angle_var, rb.distance_var, rb.right_var, rb.left_var, tuple(rules))
-
-
 def _defects():
-    rb = builtin(3)
-    rules = list(rb.rules)
+    """Rule lists over builtin(3)'s variables, one per grid defect."""
+    rules = list(builtin(3).rules)
     return {
-        "unknown antecedent": _with_rules(rb, [rules[0]._replace(angle_term="QQ")] + rules[1:]),
-        "unknown consequent": _with_rules(rb, rules[:4] + [rules[4]._replace(left_term="XX")] + rules[5:]),
-        "duplicate cell": _with_rules(rb, rules + [rules[4]._replace(right_term="S")]),
-        "missing cell": _with_rules(rb, rules[:7] + rules[8:]),
+        "unknown antecedent": [rules[0]._replace(angle_term="QQ")] + rules[1:],
+        "unknown consequent": rules[:4] + [rules[4]._replace(left_term="XX")] + rules[5:],
+        "duplicate cell": rules + [rules[4]._replace(right_term="S")],
+        "missing cell": rules[:7] + rules[8:],
     }
 
 
+def _rules_text(rules):
+    """builtin(3)'s variable and term lines followed by one line per rule."""
+    head = [ln for ln in render_rulebase(builtin(3)).splitlines() if not ln.startswith("rule ")]
+    body = [f"rule if angle is {a} and distance is {d} then right is {r}, left is {l}" for a, d, r, l in rules]
+    return "\n".join(head + body) + "\n"
+
+
 class TestOneGridCheck:
-    """``validate`` and the parser report grid problems through one check."""
+    """The ``RuleBase`` constructor and the parser report grid problems through one check."""
 
     @pytest.mark.parametrize("defect", sorted(_defects()))
-    def test_validate_and_parser_report_the_same_messages(self, defect):
-        rb = _defects()[defect]
-        expected = [i.message for i in validate(rb)]
-        assert expected
-        parsed = [i.message.split(" first defined on line ")[0] for i in issues_of(render_rulebase(rb))]
+    def test_constructor_and_parser_report_the_same_messages(self, defect):
+        rules = _defects()[defect]
+        rb = builtin(3)
+        with pytest.raises(ValueError) as excinfo:
+            RuleBase(rb.angle_var, rb.distance_var, rb.right_var, rb.left_var, tuple(rules))
+        expected = str(excinfo.value).split("; ")
+        parsed = [i.message.split(" first defined on line ")[0] for i in issues_of(_rules_text(rules))]
         assert parsed == expected
 
     def test_unknown_consequent_is_one_diagnostic_at_its_label(self):
@@ -188,6 +192,14 @@ class TestOneGridCheck:
 
 
 class TestRenderedShape:
+    @pytest.mark.parametrize("label", ["very slow", "S#1", "S,1", ""])
+    def test_label_that_is_not_one_token_is_refused_by_name(self, label):
+        rb = builtin(3)
+        right = uniform_variable("right", 0.0, 2.0, (label, "M", "F"))
+        rules = tuple(r._replace(right_term=label) if r.right_term == "S" else r for r in rb.rules)
+        with pytest.raises(ValueError, match=f"^variable 'right': term label {label!r} is not one rules-format token$"):
+            render_rulebase(RuleBase(rb.angle_var, rb.distance_var, right, rb.left_var, rules))
+
     def test_rule_lines_count(self):
         for n, count in ((3, 9), (5, 25), (7, 49)):
             text = render_rulebase(builtin(n))
