@@ -16,12 +16,11 @@ from .engine import InferenceResult, infer
 from .rulebase import (
     BUILTIN_SIZES,
     DEFAULT_ANGLE_BAND,
-    Issue,
     Rule,
     RuleBase,
     builtin,
 )
-from .ruleformat import RuleDefinitionError, parse_rulebase, render_rulebase
+from .ruleformat import Issue, RuleDefinitionError, parse_rulebase, render_rulebase
 from .kinematics import (
     Pose,
     RobotParams,

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
+from ._limits import require_finite
 from .membership import LinguisticVariable, fuzzify
 
 if TYPE_CHECKING:
@@ -98,8 +99,11 @@ def _sample(lo: float, hi: float, mfs: tuple) -> _Sampled:
     xs.setflags(write=False)
     spans, segments = [], []
     for mf in mfs:
-        up = 1.0 if mf.is_left_shoulder else (xs - mf.left) / (mf.peak - mf.left)
-        down = 1.0 if mf.is_right_shoulder else (mf.right - xs) / (mf.right - mf.peak)
+        # a side too narrow to divide by overflows to an infinite slope, which
+        # the clip takes to 0.0 or 1.0, as fuzzify's float division does
+        with np.errstate(over="ignore"):
+            up = 1.0 if mf.is_left_shoulder else (xs - mf.left) / (mf.peak - mf.left)
+            down = 1.0 if mf.is_right_shoulder else (mf.right - xs) / (mf.right - mf.peak)
         row = np.clip(np.minimum(up, down), 0.0, 1.0)
         nonzero = np.flatnonzero(row)
         start, stop = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
@@ -239,8 +243,9 @@ def infer(rb: RuleBase, e_theta: float, e_d: float) -> InferenceResult:
 
     Raises ValueError naming the input when either is not finite.
     """
-    for name, value in (("e_theta", e_theta), ("e_d", e_d)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    if not math.isfinite(e_theta):
+        require_finite("e_theta", e_theta)
+    if not math.isfinite(e_d):
+        require_finite("e_d", e_d)
     compiled = rb.compiled
     return compiled.outputs(fuzzify(compiled.angle_var, e_theta), fuzzify(compiled.distance_var, e_d))

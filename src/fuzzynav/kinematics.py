@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._limits import require_finite
+
 __all__ = [
     "Pose",
     "WheelSpeeds",
@@ -36,11 +38,6 @@ def wrap_angle(angle: float) -> float:
     return math.pi if wrapped <= -math.pi else wrapped
 
 
-def _require_finite(name: str, value: float):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class Pose:
     """Planar pose; theta is stored wrapped to (-pi, pi]."""
@@ -50,9 +47,9 @@ class Pose:
     theta: float
 
     def __post_init__(self):
-        _require_finite("x", self.x)
-        _require_finite("y", self.y)
-        _require_finite("theta", self.theta)
+        require_finite("x", self.x)
+        require_finite("y", self.y)
+        require_finite("theta", self.theta)
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
 
@@ -64,8 +61,8 @@ class WheelSpeeds:
     v_r: float
 
     def __post_init__(self):
-        _require_finite("v_l", self.v_l)
-        _require_finite("v_r", self.v_r)
+        require_finite("v_l", self.v_l)
+        require_finite("v_r", self.v_r)
 
 
 @dataclass(frozen=True)
@@ -76,13 +73,16 @@ class Twist:
     omega: float
 
     def __post_init__(self):
-        _require_finite("v", self.v)
-        _require_finite("omega", self.omega)
+        require_finite("v", self.v)
+        require_finite("omega", self.omega)
 
 
 @dataclass(frozen=True)
 class RobotParams:
-    """Geometry and actuation limits of the robot."""
+    """Geometry and actuation limits of the robot.
+
+    Every field must be finite and lie in [1e-6, 1e6].
+    """
 
     wheel_base: float = 0.5
     wheel_radius: float = 0.1
@@ -90,9 +90,11 @@ class RobotParams:
 
     def __post_init__(self):
         for name in ("wheel_base", "wheel_radius", "v_max"):
-            _require_finite(name, getattr(self, name))
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            require_finite(name, value)
+            if not value > 0:
                 raise ValueError(f"{name} must be > 0")
+            require_finite(name, value, bounded=True, floored=True)
 
 
 def wheel_to_twist(ws: WheelSpeeds, p: RobotParams) -> Twist:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from ._limits import require_finite
+
 __all__ = [
     "TriangularMF",
     "Term",
@@ -29,7 +31,8 @@ class TriangularMF:
     back to 0 at ``right``.  Encoding ``left == peak`` gives a left
     shoulder and ``peak == right`` a right shoulder: membership is held at
     1 on the flat side, so boundary terms keep full membership out to the
-    universe edge.
+    universe edge.  Each breakpoint must be finite and at most 1e6 in
+    magnitude.
     """
 
     left: float
@@ -38,8 +41,7 @@ class TriangularMF:
 
     def __post_init__(self):
         for name in ("left", "peak", "right"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"triangle {name} must be finite, got {getattr(self, name)}")
+            require_finite(f"triangle {name}", getattr(self, name), bounded=True)
         if not (self.left <= self.peak <= self.right):
             raise ValueError(
                 f"triangle breakpoints must satisfy left <= peak <= right, "
@@ -57,13 +59,6 @@ class TriangularMF:
         return self.peak == self.right
 
 
-def _check_finite_bounds(name: str, lo: float, hi: float):
-    """Raise ValueError naming the variable and the bound that is not finite."""
-    for field, value in (("lo", lo), ("hi", hi)):
-        if not math.isfinite(value):
-            raise ValueError(f"variable '{name}': {field} must be finite, got {value}")
-
-
 class Term(NamedTuple):
     label: str
     mf: TriangularMF
@@ -73,10 +68,10 @@ class Term(NamedTuple):
 class LinguisticVariable:
     """A named universe [lo, hi] partitioned into labelled fuzzy terms.
 
-    Construction validates the variable: its bounds must be finite, labels
-    must be unique, every membership function must lie within the
-    universe, and the terms must jointly cover the universe (every x has
-    positive membership in at least one term).
+    Construction validates the variable: its bounds must be finite and at
+    most 1e6 in magnitude, labels must be unique, every membership function
+    must lie within the universe, and the terms must jointly cover the
+    universe (every x has positive membership in at least one term).
     """
 
     name: str
@@ -85,7 +80,8 @@ class LinguisticVariable:
     terms: tuple[Term, ...]
 
     def __post_init__(self):
-        _check_finite_bounds(self.name, self.lo, self.hi)
+        for field in ("lo", "hi"):
+            require_finite(f"variable '{self.name}': {field}", getattr(self, field), bounded=True)
         if not self.lo < self.hi:
             raise ValueError(f"variable '{self.name}': universe must satisfy lo < hi")
         if not self.terms:
@@ -161,7 +157,7 @@ def fuzzify(var: LinguisticVariable, x: float) -> tuple[float, ...]:
     Raises ValueError naming the value when ``x`` is not finite.
     """
     if not math.isfinite(x):
-        raise ValueError(f"variable '{var.name}': x must be finite, got {x}")
+        require_finite(f"variable '{var.name}': x", x)
     xc = var.clamp(x)
     degrees = []
     for left, rise, right, fall, left_shoulder, right_shoulder in var._table:
@@ -190,9 +186,11 @@ def uniform_variable(
     everywhere inside the universe, including any saturated zone outside
     the span.
 
-    Raises ValueError naming the bound when ``lo`` or ``hi`` is not finite.
+    Raises ValueError naming the bound when ``lo`` or ``hi`` is not finite
+    or exceeds 1e6 in magnitude.
     """
-    _check_finite_bounds(name, lo, hi)
+    for field, value in (("lo", lo), ("hi", hi)):
+        require_finite(f"variable '{name}': {field}", value, bounded=True)
     if len(labels) < 2:
         raise ValueError("uniform partition needs at least two labels")
     span_lo, span_hi = peak_span if peak_span is not None else (lo, hi)

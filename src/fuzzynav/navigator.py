@@ -9,8 +9,9 @@ import logging
 import math
 from dataclasses import dataclass
 
+from ._limits import require_finite
 from .engine import infer
-from .kinematics import Pose, WheelSpeeds, _require_finite, wrap_angle
+from .kinematics import Pose, WheelSpeeds, wrap_angle
 from .rulebase import RuleBase
 
 __all__ = ["Goal", "Errors", "compute_errors", "control_step", "COINCIDENT_TOL"]
@@ -30,8 +31,8 @@ class Goal:
     y: float
 
     def __post_init__(self):
-        _require_finite("goal x", self.x)
-        _require_finite("goal y", self.y)
+        require_finite("goal x", self.x)
+        require_finite("goal y", self.y)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from ._limits import require_finite
 from .engine import CompiledRuleBase
 from .membership import LinguisticVariable, uniform_variable
 
 __all__ = [
     "Rule",
     "RuleBase",
-    "Issue",
     "builtin",
     "BUILTIN_SIZES",
     "DEFAULT_D_MAX",
@@ -51,9 +51,10 @@ class Rule(NamedTuple):
 class RuleBase:
     """A complete two-input, two-output rule grid with its four variables.
 
-    Construction checks that every label resolves and every (angle term,
-    distance term) cell holds exactly one rule, or raises one ValueError
-    listing every problem, joined by ``"; "``, as ``parse_rulebase`` words them.
+    Construction checks that each output universe is at least 1e-6 wide,
+    then that every label resolves and every (angle term, distance term)
+    cell holds exactly one rule, or raises one ValueError listing every
+    problem, joined by ``"; "``, as ``parse_rulebase`` words them.
     """
 
     angle_var: LinguisticVariable
@@ -63,6 +64,8 @@ class RuleBase:
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
+        _check_output(self.right_var)
+        _check_output(self.left_var)
         indices, problems = _resolve((self.angle_var, self.distance_var, self.right_var, self.left_var), self.rules)
         if problems:
             raise ValueError("; ".join(p.message for p in problems))
@@ -75,20 +78,10 @@ class RuleBase:
         return CompiledRuleBase.of(self.angle_var, self.distance_var, self.right_var, self.left_var, self._indices)
 
 
-@dataclass(frozen=True)
-class Issue:
-    """One problem in rule-definition text, optionally position-anchored."""
-
-    message: str
-    line: int | None = None
-    col: int | None = None
-
-    def __str__(self) -> str:
-        if self.line is None:
-            return self.message
-        if self.col is None:
-            return f"line {self.line}: {self.message}"
-        return f"line {self.line}, col {self.col}: {self.message}"
+def _check_output(var: LinguisticVariable):
+    """Raise ValueError naming an output variable narrower than the floor,
+    whose fired terms could enclose no area above the zero-area tolerance."""
+    require_finite(f"variable '{var.name}': universe width hi - lo", var.hi - var.lo, floored=True)
 
 
 # Built-in grids.  Rows are angle terms, columns are distance terms in the
@@ -177,13 +170,15 @@ def builtin(
       (the reverse of the grid column order);
     * both wheel velocities on [0, v_max], terms from slow to fast;
     * all partitions uniform with 50% overlap and shoulder edge terms.
+
+    ``d_max`` and ``v_max`` must lie in [1e-6, 1e6].
     """
     if n_mfs not in _GRIDS:
         raise ValueError(f"no built-in rule base of size {n_mfs}; choose one of {BUILTIN_SIZES}")
-    if not 0 < d_max < math.inf:
-        raise ValueError(f"d_max must be finite and > 0, got {d_max}")
-    if not 0 < v_max < math.inf:
-        raise ValueError(f"v_max must be finite and > 0, got {v_max}")
+    for name, value in (("d_max", d_max), ("v_max", v_max)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+        require_finite(name, value, bounded=True, floored=True)
     if not 0 < angle_band <= math.pi:
         raise ValueError(f"angle_band must lie in (0, pi], got {angle_band}")
     angle_labels, dist_cols, out_labels, right_grid, left_grid = _GRIDS[n_mfs]

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 
 from .membership import LinguisticVariable, Term, TriangularMF
-from .rulebase import Issue, Rule, RuleBase, _resolve
+from .rulebase import Rule, RuleBase, _check_output, _resolve
 
-__all__ = ["RuleDefinitionError", "parse_rulebase", "render_rulebase", "ROLE_NAMES"]
+__all__ = ["Issue", "RuleDefinitionError", "parse_rulebase", "render_rulebase", "ROLE_NAMES"]
 
 ROLE_NAMES = ("angle", "distance", "right", "left")
 
@@ -32,6 +33,22 @@ _RULE_SHAPE = (
     "rule", "if", "angle", "is", None, "and", "distance", "is", None,
     "then", "right", "is", None, ",", "left", "is", None,
 )
+
+
+@dataclass(frozen=True)
+class Issue:
+    """One problem in rule-definition text, optionally position-anchored."""
+
+    message: str
+    line: int | None = None
+    col: int | None = None
+
+    def __str__(self) -> str:
+        if self.line is None:
+            return self.message
+        if self.col is None:
+            return f"line {self.line}: {self.message}"
+        return f"line {self.line}, col {self.col}: {self.message}"
 
 
 class RuleDefinitionError(ValueError):
@@ -193,7 +210,10 @@ class _Parser:
                 self.fail(f"variable '{role}' has no terms", line)
                 continue
             try:
-                variables.append(LinguisticVariable(role, lo, hi, tuple(t for _, t in terms)))
+                var = LinguisticVariable(role, lo, hi, tuple(t for _, t in terms))
+                if role in ("right", "left"):
+                    _check_output(var)
+                variables.append(var)
             except ValueError as exc:
                 self.fail(str(exc), line)
         return variables

@@ -14,7 +14,8 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import NamedTuple
 
-from .kinematics import Pose, RobotParams, WheelSpeeds, _require_finite, step_euler, wheel_to_twist
+from ._limits import require_finite
+from .kinematics import Pose, RobotParams, WheelSpeeds, step_euler, wheel_to_twist
 from .navigator import Errors, Goal, compute_errors, control_step
 from .rulebase import BUILTIN_SIZES, RuleBase, builtin
 from .ruleformat import parse_rulebase
@@ -59,7 +60,8 @@ class Scenario:
 
     ``controller`` is "3", "5" or "7" for a built-in rule base, a path to a
     rule-definition file, or a ready-made :class:`RuleBase`.  The fields are
-    checked on construction: an invalid one raises ValueError naming it.
+    checked on construction: an invalid one raises ValueError naming it.  A
+    built-in controller also needs ``start`` and ``goal`` at most 1e6 apart.
     """
 
     start: Pose
@@ -73,7 +75,7 @@ class Scenario:
 
     def __post_init__(self):
         for name in _NUMBER_FIELDS:
-            _require_finite(f"scenario field '{name}'", getattr(self, name))
+            require_finite(f"scenario field '{name}'", getattr(self, name))
         if not self.dt > 0:
             raise ValueError("scenario field 'dt' must be > 0")
         if not self.max_time >= self.dt:
@@ -88,6 +90,8 @@ class Scenario:
             raise ValueError("scenario field 'controller' must be '3', '5', '7' or a rules-file path")
         if self.controller == "":
             raise ValueError("scenario field 'controller' must not be empty")
+        if self.controller in BUILTIN_CONTROLLERS:  # sizes the built-in's distance universe
+            require_finite("scenario fields 'start' and 'goal': distance", initial_distance(self), bounded=True)
 
 
 class TrajectorySample(NamedTuple):
@@ -282,7 +286,7 @@ def _record(cls, data: dict, where: str, **defaults):
     values = {**defaults, **{k: _number(mapping, k, where) for k in mapping}}
     try:
         return cls(**values)
-    except ValueError as exc:  # e.g. "x must be finite, got inf" from a 1e400 literal
+    except ValueError as exc:  # e.g. a non-finite 1e400 literal, or a value out of bounds
         raise ValueError(f"scenario field '{where}': {exc}") from exc
 
 

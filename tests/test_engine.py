@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -536,6 +537,17 @@ class TestSampledSpans:
             # exactly +0.0 outside the span, sign bit included
             outside = np.concatenate((row[:start], row[stop:]))
             assert outside.tobytes() == bytes(outside.nbytes)
+
+
+    def test_side_too_narrow_to_divide_by_samples_as_a_step(self):
+        # (x - 0) / 5e-324 overflows to inf; sampling it raised numpy's
+        # overflow warning, an error under this suite's filterwarnings
+        var = uniform_variable("right", 0.0, 2.0, ("S", "M", "F"))
+        var = replace(var, terms=(var.terms[0], Term("M", TriangularMF(0.0, 5e-324, 2.0)), var.terms[2]))
+        s = sampled(var)
+        xs = np.linspace(0.0, 2.0, engine._SAMPLES)
+        assert s.spans[1] == (1, engine._SAMPLES - 1)
+        assert s.segments[1].tolist() == [fuzzify(var, x)[1] for x in xs[1:-1].tolist()]
 
 
 class TestErrorPaths:

@@ -56,6 +56,10 @@ class TestCurvatureRadius:
     def test_pure_rotation_is_zero(self):
         assert curvature_radius(WheelSpeeds(-0.7, 0.7), P) == 0.0
 
+    def test_difference_equal_to_the_straight_tolerance_turns(self):
+        # only a difference strictly below OMEGA_STRAIGHT_TOL counts as straight
+        assert curvature_radius(WheelSpeeds(0.0, 1e-12), RobotParams(wheel_base=1.0)) == 0.5
+
     def test_consistency_on_random_speeds(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -95,6 +99,13 @@ class TestStepExact:
         pose = Pose(0.3, -0.2, 0.7)
         tw = Twist(1.2, 0.0)
         assert step_exact(pose, tw, 0.25) == step_euler(pose, tw, 0.25)
+
+    def test_omega_equal_to_the_straight_tolerance_takes_the_arc(self):
+        # only |omega| strictly below OMEGA_STRAIGHT_TOL steps straight; over
+        # 1e6 s the arc bends 0.5 m off the straight line Euler follows
+        pose, tw = Pose(0, 0, 0), Twist(1.0, 1e-12)
+        assert step_exact(pose, tw, 1e6).y == pytest.approx(0.5, abs=1e-3)
+        assert step_euler(pose, tw, 1e6).y == 0.0
 
     def test_half_circle(self):
         pose = step_exact(Pose(0, 0, 0), Twist(1.0, 1.0), math.pi)

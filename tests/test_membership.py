@@ -208,14 +208,15 @@ class TestTableDrivenFuzzify:
             assert var.clamp(x).hex() == min(max(x, var.lo), var.hi).hex(), x
 
     def test_membership_imports_no_numpy(self):
-        # membership.py has no relative imports, so it loads on its own
+        # membership.py and the modules it imports load under a bare package,
+        # skipping the package __init__, which imports the engine's numpy
         code = f"""
-import importlib.util, sys
+import importlib, os, sys, types
 sys.modules["numpy"] = None
-spec = importlib.util.spec_from_file_location("membership", {membership.__file__!r})
-mod = importlib.util.module_from_spec(spec)
-sys.modules["membership"] = mod
-spec.loader.exec_module(mod)
+pkg = types.ModuleType("fuzzynav")
+pkg.__path__ = [os.path.dirname({membership.__file__!r})]
+sys.modules["fuzzynav"] = pkg
+mod = importlib.import_module("fuzzynav.membership")
 print(mod.fuzzify(mod.uniform_variable("d", 0.0, 2.0, ("Z", "M", "F")), 1.5))
 """
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)

@@ -34,6 +34,10 @@ class TestComputeErrors:
         err = compute_errors(Pose(2.0, -1.0, 0.4), Goal(2.0, -1.0))
         assert err.e_d == 0.0 and err.e_theta == 0.0
 
+    def test_distance_equal_to_the_coincident_tolerance_keeps_the_bearing(self):
+        # only a distance strictly below COINCIDENT_TOL drops the bearing
+        assert compute_errors(Pose(0, 0, 1), Goal(1e-12, 0)).e_theta == -1.0
+
     def test_angle_error_always_in_range(self):
         rng = np.random.default_rng(19)
         for _ in range(1000):

@@ -36,6 +36,16 @@ class TestRunLoop:
         assert m.time_angle_aligned == 0.0
         assert m.path_length == 0.0
 
+    def test_distance_equal_to_goal_tol_is_reached_at_t0(self):
+        traj, m = run(Scenario(start=Pose(0.0, 0.0, 0.0), goal=Goal(0.1, 0.0)))
+        assert m.reached and m.time_to_target == 0.0 and len(traj) == 1
+
+    def test_heading_error_equal_to_angle_tol_is_aligned_at_t0(self):
+        sc = Scenario(start=Pose(0.0, 0.0, -0.05), goal=Goal(10.0, 0.0), max_time=0.1)
+        traj, m = run(sc)
+        assert traj[0].errors.e_theta == sc.angle_tol
+        assert m.time_angle_aligned == 0.0
+
     def test_benchmark_reaches_the_goal(self):
         traj, m = run(benchmark_scenario("3"))
         assert m.reached
