@@ -101,8 +101,6 @@ def cmd_run(scenario_path: str, controller: str | None, out_dir: str, quiet: boo
 
 def _comparison_csv_row(entry) -> str:
     m = entry.metrics
-    if m is None:
-        return f"{entry.controller},,,,,"
     cells = (
         entry.controller,
         str(m.rule_count),
@@ -118,20 +116,14 @@ def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> int:
     """Run the three built-in controllers on one scenario and write the table; returns the exit code."""
     sc = load_scenario(scenario_path)
     entries = compare(sc)
-    rows = [
-        {"controller": e.controller, "metrics": asdict(e.metrics) if e.metrics else None, "error": e.error}
-        for e in entries
-    ]
+    rows = [{"controller": e.controller, "metrics": asdict(e.metrics)} for e in entries]
     ordering = ordering_report(entries)
     csv_lines = ["controller,rule_count,time_to_target,time_angle_aligned,path_length,reached"]
     csv_lines += [_comparison_csv_row(e) for e in entries]
     os.makedirs(out_dir, exist_ok=True)
     for entry in entries:
-        if entry.trajectory is not None:
-            _write_trajectory_csv(
-                os.path.join(out_dir, f"trajectory_{entry.controller}.csv"), entry.trajectory
-            )
-            _write_json(os.path.join(out_dir, f"metrics_{entry.controller}.json"), asdict(entry.metrics))
+        _write_trajectory_csv(os.path.join(out_dir, f"trajectory_{entry.controller}.csv"), entry.trajectory)
+        _write_json(os.path.join(out_dir, f"metrics_{entry.controller}.json"), asdict(entry.metrics))
     _write_text(os.path.join(out_dir, "comparison.csv"), "\n".join(csv_lines) + "\n")
     _write_json(
         os.path.join(out_dir, "comparison.json"),
@@ -142,9 +134,6 @@ def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> int:
         print(f"{'ctrl':>4}  {'rules':>5}  {'t_target':>9}  {'t_aligned':>9}  {'path':>8}  reached")
         for entry in entries:
             m = entry.metrics
-            if m is None:
-                print(f"{entry.controller:>4}  run failed: {entry.error}")
-                continue
             t_target, t_align = _fmt_time(m.time_to_target, "-"), _fmt_time(m.time_angle_aligned, "-")
             print(
                 f"{entry.controller:>4}  {m.rule_count:>5}  {t_target:>9}  {t_align:>9}  "
@@ -156,8 +145,6 @@ def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> int:
             held = "holds" if ordering["three_mf_fastest"] else "does not hold"
             print(f"fastest controller: {ordering['fastest']} (3-MF-fastest ranking {held})")
 
-    if any(e.metrics is None for e in entries):
-        return EXIT_CONFIG
     return EXIT_OK if all(e.metrics.reached for e in entries) else EXIT_NOT_REACHED
 
 

@@ -60,8 +60,9 @@ class Scenario:
 
     ``controller`` is "3", "5" or "7" for a built-in rule base, a path to a
     rule-definition file, or a ready-made :class:`RuleBase`.  The fields are
-    checked on construction: an invalid one raises ValueError naming it.  A
-    built-in controller also needs ``start`` and ``goal`` at most 1e6 apart.
+    checked on construction: an invalid one raises ValueError naming it.
+    ``start`` and ``goal`` must be a finite distance apart, and at most 1e6
+    apart for a built-in controller.
     """
 
     start: Pose
@@ -90,8 +91,8 @@ class Scenario:
             raise ValueError("scenario field 'controller' must be '3', '5', '7' or a rules-file path")
         if self.controller == "":
             raise ValueError("scenario field 'controller' must not be empty")
-        if self.controller in BUILTIN_CONTROLLERS:  # sizes the built-in's distance universe
-            require_finite("scenario fields 'start' and 'goal': distance", initial_distance(self), bounded=True)
+        bounded = self.controller in BUILTIN_CONTROLLERS  # a built-in sizes its distance universe from it
+        require_finite("scenario fields 'start' and 'goal': distance", initial_distance(self), bounded=bounded)
 
 
 class TrajectorySample(NamedTuple):
@@ -119,9 +120,8 @@ class ComparisonEntry:
     """One controller's result on the shared comparison scenario."""
 
     controller: str
-    metrics: Metrics | None
-    trajectory: tuple[TrajectorySample, ...] | None
-    error: str | None = None
+    metrics: Metrics
+    trajectory: tuple[TrajectorySample, ...]
 
 
 def initial_distance(sc: Scenario) -> float:
@@ -195,23 +195,16 @@ def run(sc: Scenario) -> tuple[list[TrajectorySample], Metrics]:
     return trajectory, metrics
 
 
-def compare(
-    sc: Scenario,
-    controllers: tuple[str, ...] = BUILTIN_CONTROLLERS,
-) -> list[ComparisonEntry]:
-    """Run the same scenario once per controller.
+def compare(sc: Scenario) -> list[ComparisonEntry]:
+    """Run the same scenario once per built-in controller, in order 3, 5, 7.
 
-    A run that raises ValueError (an invalid controller, an unreadable or
-    malformed rules file) is reported in its row; the remaining rows are
-    still produced.  Row order follows ``controllers``.
+    A built-in's validity does not depend on its size, so an invalid
+    scenario raises ValueError on the first run and no row is produced.
     """
     entries = []
-    for name in controllers:
-        try:
-            trajectory, metrics = run(replace(sc, controller=name))
-            entries.append(ComparisonEntry(name, metrics, tuple(trajectory)))
-        except ValueError as exc:
-            entries.append(ComparisonEntry(name, None, None, error=str(exc)))
+    for name in BUILTIN_CONTROLLERS:
+        trajectory, metrics = run(replace(sc, controller=name))
+        entries.append(ComparisonEntry(name, metrics, tuple(trajectory)))
     return entries
 
 
@@ -222,13 +215,10 @@ def ordering_report(entries: list[ComparisonEntry]) -> dict:
     null otherwise; the flag is reported, not asserted, because the ranking
     depends on the membership-function layout.
     """
-    times = {
-        e.controller: (e.metrics.time_to_target if e.metrics and e.metrics.reached else None)
-        for e in entries
-    }
-    if times and all(t is not None for t in times.values()):
+    times = {e.controller: e.metrics.time_to_target for e in entries}
+    if all(t is not None for t in times.values()):
         fastest = min(times, key=times.get)
-        three_fastest = fastest == "3" if "3" in times else None
+        three_fastest = fastest == "3"
     else:
         fastest = None
         three_fastest = None

@@ -158,6 +158,20 @@ class TestCompareCommand:
         assert code == 1
         assert capsys.readouterr().err
 
+    def test_far_scenario_is_one_error_line_and_writes_nothing(self, tmp_path, capsys):
+        # finite for its rules-file controller, past the bound for the built-ins compare runs
+        sc = tmp_path / "far.json"
+        sc.write_text('{"start": {"x": 0, "y": 0}, "goal": {"x": 2000000, "y": 0}, "controller": "whatever.rules"}',
+                      encoding="utf-8")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", str(sc), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: scenario fields 'start' and 'goal': distance must not exceed 1e+06 in magnitude, got 2000000.0\n"
+        )
+        assert captured.out == ""
+        assert not list(out.glob("comparison.*"))
+
 
 class TestValidateCommand:
     def test_exported_builtin_validates_clean(self, tmp_path, capsys):

@@ -161,3 +161,16 @@ class TestScenario:
         sc = Scenario(Pose(0.0, 0.0, 0.0), Goal(2e6, 0.0), max_time=0.2, controller=rb)
         _, metrics = run(sc)
         assert not metrics.reached and math.isfinite(metrics.path_length)
+
+    def test_start_and_goal_a_float_range_apart_are_rejected_for_every_controller(self):
+        # both coordinates are finite, but the distance between them is not
+        for controller in (builtin(3), "whatever.rules", "3"):
+            with raises("scenario fields 'start' and 'goal': distance must be finite, got inf"):
+                Scenario(Pose(-1e308, 0.0, 0.0), Goal(1e308, 0.0), controller=controller)
+
+    def test_load_scenario_rejects_start_and_goal_a_float_range_apart(self, tmp_path):
+        path = tmp_path / "far.json"
+        cfg = {"start": {"x": -1e308, "y": 0}, "goal": {"x": 1e308, "y": 0}, "controller": "whatever.rules"}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with raises("scenario fields 'start' and 'goal': distance must be finite, got inf"):
+            load_scenario(str(path))

@@ -7,7 +7,6 @@ from dataclasses import fields, replace
 import pytest
 
 from fuzzynav import (
-    ComparisonEntry,
     Goal,
     Pose,
     RobotParams,
@@ -188,34 +187,12 @@ class TestCompare:
         assert [e.metrics.rule_count for e in entries] == [9, 25, 49]
         assert all(e.metrics.reached for e in entries)
 
-    def test_identical_controllers_give_identical_rows(self):
-        entries = compare(benchmark_scenario(), controllers=("5", "5"))
-        assert entries[0].metrics == entries[1].metrics
-        assert entries[0].trajectory == entries[1].trajectory
-
-    def test_failed_row_keeps_others(self, tmp_path):
-        bad = tmp_path / "missing.rules"
-        entries = compare(benchmark_scenario(), controllers=("3", str(bad)))
-        assert entries[0].metrics is not None
-        assert entries[1].metrics is None and entries[1].error
-
-    def test_malformed_rules_file_gives_an_error_row(self, tmp_path):
-        bad = tmp_path / "bad.rules"
-        bad.write_text("var angle range 0 1\nrule if angle is Z\n", encoding="utf-8")
-        sc = benchmark_scenario()
-        entries = compare(sc, controllers=("3", str(bad)))
-        trajectory, metrics = run(sc)
-        assert entries[0] == ComparisonEntry("3", metrics, tuple(trajectory))
-        assert entries[1].controller == str(bad)
-        assert entries[1].metrics is None and entries[1].trajectory is None
-        assert entries[1].error.startswith(
-            f"scenario field 'controller': {bad}: line 2, col 1: expected 'rule if angle is <label>"
-        )
-
-    def test_empty_controller_gives_an_error_row(self):
-        entries = compare(benchmark_scenario(), controllers=("3", ""))
-        assert entries[0].metrics.reached
-        assert entries[1].error == "scenario field 'controller' must not be empty"
+    def test_far_scenario_raises_before_any_row(self):
+        # a rules-file controller allows any finite distance; the built-ins do not
+        sc = Scenario(Pose(0.0, 0.0, 0.0), Goal(2e6, 0.0), controller="whatever.rules")
+        message = "scenario fields 'start' and 'goal': distance must not exceed 1e+06 in magnitude, got 2000000.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compare(sc)
 
     def test_ordering_report_shape(self):
         entries = compare(benchmark_scenario())
@@ -224,9 +201,10 @@ class TestCompare:
         assert report["fastest"] in ("3", "5", "7")
         assert isinstance(report["three_mf_fastest"], bool)
 
-    def test_ordering_report_undetermined_on_failure(self):
-        entries = compare(benchmark_scenario(), controllers=("3", "nonexistent.rules"))
+    def test_ordering_report_undetermined_when_runs_miss(self):
+        entries = compare(replace(benchmark_scenario(), max_time=1.0))
         report = ordering_report(entries)
+        assert report["time_to_target"] == {"3": None, "5": None, "7": None}
         assert report["three_mf_fastest"] is None and report["fastest"] is None
 
 
