@@ -34,8 +34,6 @@ from .kinematics import (
 )
 from .navigator import Errors, Goal, compute_errors, control_step
 from .simulation import (
-    BENCHMARK_DISTANCE,
-    BENCHMARK_DT,
     ComparisonEntry,
     Metrics,
     Scenario,
@@ -46,14 +44,11 @@ from .simulation import (
     ordering_report,
     run,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BENCHMARK_DISTANCE",
-    "BENCHMARK_DT",
     "BUILTIN_SIZES",
     "ComparisonEntry",
     "DEFAULT_ANGLE_BAND",
@@ -88,7 +83,6 @@ __all__ = [
     "render_rulebase",
     "run",
     "scenario_from_dict",
-    "scenario_to_dict",
     "step_euler",
     "step_exact",
     "uniform_variable",

@@ -26,7 +26,6 @@ from .simulation import (
     load_scenario,
     ordering_report,
     run,
-    scenario_to_dict,
 )
 
 __all__ = ["main", "entry"]
@@ -118,6 +117,8 @@ def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> int:
     entries = compare(sc)
     rows = [{"controller": e.controller, "metrics": asdict(e.metrics)} for e in entries]
     ordering = ordering_report(entries)
+    # the scenario as loaded, less the controller it names: compare runs the built-ins instead
+    echo = {k: v for k, v in asdict(sc).items() if k != "controller"}
     csv_lines = ["controller,rule_count,time_to_target,time_angle_aligned,path_length,reached"]
     csv_lines += [_comparison_csv_row(e) for e in entries]
     os.makedirs(out_dir, exist_ok=True)
@@ -127,7 +128,7 @@ def cmd_compare(scenario_path: str, out_dir: str, quiet: bool = False) -> int:
     _write_text(os.path.join(out_dir, "comparison.csv"), "\n".join(csv_lines) + "\n")
     _write_json(
         os.path.join(out_dir, "comparison.json"),
-        {"scenario": scenario_to_dict(sc), "rows": rows, "ordering": ordering},
+        {"scenario": echo, "rows": rows, "ordering": ordering},
     )
 
     if not quiet:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
 from ._limits import require_finite
@@ -32,7 +32,6 @@ __all__ = [
     "initial_distance",
     "resolve_controller",
     "scenario_from_dict",
-    "scenario_to_dict",
     "load_scenario",
     "BUILTIN_CONTROLLERS",
     "BENCHMARK_DISTANCE",
@@ -297,11 +296,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         controller = str(controller)
     numbers = {k: _number(data, k, "scenario") for k in _NUMBER_FIELDS if k in data}
     return Scenario(start=start, goal=goal, params=params, controller=controller, **numbers)
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    """Config-shaped echo of a scenario (a RuleBase controller rendered as "custom")."""
-    return asdict(sc if isinstance(sc.controller, str) else replace(sc, controller="custom"))
 
 
 def _read_text(path: str) -> str:

@@ -4,12 +4,12 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
-from fuzzynav import Metrics, builtin, parse_rulebase, render_rulebase
+from fuzzynav import Metrics, Scenario, builtin, load_scenario, parse_rulebase, render_rulebase
 from fuzzynav.cli import CSV_HEADER, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,6 +153,18 @@ class TestCompareCommand:
             header = (out / f"trajectory_{name}.csv").read_text(encoding="utf-8").splitlines()[0]
             assert header == CSV_HEADER
 
+    def test_scenario_echo_is_the_loaded_scenario_without_its_controller(self, tmp_path):
+        # a rules path that does not exist: compare runs the built-ins and never reads it
+        for controller in ("3", str(tmp_path / "missing.rules")):
+            path = write_benchmark_scenario(tmp_path, controller=controller)
+            out = tmp_path / "cmp"
+            assert main(["compare", "--scenario", str(path), "--out", str(out), "--quiet"]) == 0
+            echo = json.loads((out / "comparison.json").read_text(encoding="utf-8"))["scenario"]
+            want = asdict(load_scenario(str(path)))
+            del want["controller"]
+            assert list(echo) == [f.name for f in fields(Scenario) if f.name != "controller"]
+            assert echo == json.loads(json.dumps(want))
+
     def test_config_error_exits_1(self, tmp_path, capsys):
         code = main(["compare", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == 1
@@ -275,7 +287,9 @@ class TestUnusableFiles:
         ('{"start": ' + "[" * 100_000 + "]" * 100_000 + "}", "scenario.json: invalid JSON: "),
         ('{"start": {"x": 0, "y": 0}, "goal": {"x": 1, "y": 1}, "dt": 1' + "0" * 5000 + "}",
          "scenario.json: invalid JSON: Exceeds the limit (4300 digits)"),
-    ], ids=["integer-overflowing-a-float", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"])
+        ("[]", "error: scenario config must be a mapping"),
+    ], ids=["integer-overflowing-a-float", "nested-past-the-recursion-limit", "integer-past-the-digit-limit",
+            "not-a-mapping"])
     def test_malformed_scenario_exits_1_without_a_traceback(self, tmp_path, command, body, message):
         # in a child process, so an uncaught error shows as its traceback on stderr
         path = tmp_path / "scenario.json"
@@ -309,11 +323,14 @@ class TestUsageErrors:
 
 
 class TestCompareExitCodes:
-    def test_not_all_reached_exits_2(self, tmp_path):
+    def test_not_all_reached_exits_2(self, tmp_path, capsys):
         sc = write_benchmark_scenario(tmp_path, max_time=1.0)
         out = tmp_path / "cmp"
-        code = main(["compare", "--scenario", str(sc), "--out", str(out), "--quiet"])
+        code = main(["compare", "--scenario", str(sc), "--out", str(out)])
         assert code == 2
+        assert capsys.readouterr().out.endswith(
+            "fastest controller: undetermined (not all runs reached the goal)\n"
+        )
         table = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
         assert all(row["metrics"]["reached"] is False for row in table["rows"])
         assert table["ordering"]["three_mf_fastest"] is None

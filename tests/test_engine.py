@@ -520,6 +520,32 @@ class TestWindowedCentroid:
         assert not engine._centroid(sampled(var), (0.0, hi, 0.0))[1]
 
 
+def reversed_output_terms(rb):
+    """``rb`` rendered and parsed back with each output's term lines in
+    reverse order, so a later-listed term lies left of an earlier one."""
+    lines = render_rulebase(rb).splitlines()
+    for role in ("right", "left"):
+        at = [i for i, line in enumerate(lines) if line.startswith(f"term {role} ")]
+        for i, line in zip(at, reversed([lines[i] for i in at])):
+            lines[i] = line
+    return parse_rulebase("\n".join(lines) + "\n")
+
+
+class TestTermOrder:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_output_terms_out_of_peak_order_give_the_same_bits(self, n):
+        # the built-ins list their output terms in peak order, so only a
+        # reversed listing widens the fired window to the left of its first term
+        rb = builtin(n, d_max=24.41)
+        flipped = reversed_output_terms(rb)
+        assert flipped.right_var.labels == rb.right_var.labels[::-1]
+        assert flipped.left_var.labels == rb.left_var.labels[::-1]
+        rng = np.random.default_rng(83)
+        points = zip(rng.uniform(-math.pi, math.pi, 3000).tolist(), rng.uniform(0.0, 24.41, 3000).tolist())
+        for e_theta, e_d in points:
+            assert hexed(infer(flipped, e_theta, e_d)) == hexed(infer(rb, e_theta, e_d)), (e_theta, e_d)
+
+
 class TestSampledSpans:
     @pytest.mark.parametrize("name", sorted(output_vars()))
     def test_span_holds_every_non_zero_sample_and_only_zeros_lie_outside(self, name):

@@ -92,6 +92,8 @@ class TestStepEuler:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             step_euler(Pose(0, 0, 0), Twist(1, 0), 0.0)
+        with pytest.raises(ValueError, match="^dt must be > 0$"):
+            step_exact(Pose(0, 0, 0), Twist(1, 1), 0.0)
 
 
 class TestStepExact:

@@ -233,6 +233,10 @@ class TestVariableValidation:
         with pytest.raises(ValueError, match=f"^variable 'v': {field} must be finite"):
             LinguisticVariable("v", terms=terms, **bounds)
 
+    def test_rejects_no_terms(self):
+        with pytest.raises(ValueError, match="^variable 'v': needs at least one term$"):
+            LinguisticVariable("v", 0.0, 1.0, ())
+
     def test_rejects_empty_universe(self):
         with pytest.raises(ValueError, match="lo < hi"):
             LinguisticVariable("v", 1.0, 1.0, (Term("a", TriangularMF(0, 0.5, 1)),))
@@ -287,6 +291,10 @@ class TestUniformVariable:
         assert fuzzify(var, -3.0) == (1.0, 0.0, 0.0)
         assert fuzzify(var, 3.0) == (0.0, 0.0, 1.0)
         assert sum(fuzzify(var, -2.0)) == 1.0
+
+    def test_rejects_fewer_than_two_labels(self):
+        with pytest.raises(ValueError, match="^uniform partition needs at least two labels$"):
+            uniform_variable("v", 0.0, 1.0, ("a",))
 
     def test_rejects_bad_span(self):
         with pytest.raises(ValueError, match="peak span"):

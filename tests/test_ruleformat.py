@@ -131,6 +131,9 @@ class TestParseErrors:
             ("var right range 0.0 2.0", "var right range 0.0", ("expected 'var <name> range <lo> <hi>'", 4, 1)),
             ("term right GO tri 0.0 0.0 2.0", "term right GO tri 0.0 0.0 2.0 extra", (TERM_SHAPE, 10, 1)),
             ("term right GO tri 0.0 0.0 2.0", "term right GO trap 0.0 0.0 2.0", (TERM_SHAPE, 10, 1)),
+            # a declared role with no term lines, reported at its var line
+            ("term right GO tri 0.0 0.0 2.0\nterm right HI tri 0.0 2.0 2.0\n", "",
+             ("variable 'right' has no terms", 4, None)),
         ],
     )
     def test_one_bad_line_gives_one_diagnostic(self, old, new, expected):

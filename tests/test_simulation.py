@@ -2,7 +2,7 @@ import json
 import math
 import os
 import re
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -18,7 +18,6 @@ from fuzzynav import (
     ordering_report,
     run,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from fuzzynav.rulebase import BUILTIN_SIZES
 from fuzzynav.simulation import BUILTIN_CONTROLLERS, MAX_TICKS, initial_distance, resolve_controller
@@ -113,6 +112,8 @@ class TestRunLoop:
     def test_scenario_is_checked_when_built(self):
         with pytest.raises(ValueError, match="^scenario field 'goal_tol' must be > 0$"):
             Scenario(start=Pose(0, 0, 0), goal=Goal(1, 1), goal_tol=0.0)
+        with pytest.raises(ValueError, match="^scenario field 'angle_tol' must be > 0$"):
+            Scenario(start=Pose(0, 0, 0), goal=Goal(1, 1), angle_tol=0.0)
         sc = benchmark_scenario()
         with pytest.raises(ValueError, match="^scenario field 'angle_tol' must be finite, got nan$"):
             replace(sc, angle_tol=math.nan)
@@ -226,16 +227,15 @@ class TestScenarioConfig:
         assert sc.goal == Goal(3.0, 4.0)
         assert initial_distance(sc) == 5.0
 
-    def test_to_dict_round_trips_and_labels_a_rulebase_custom(self):
+    def test_asdict_round_trips_through_json(self):
         sc = Scenario(
             start=Pose(1.5, -2.0, 4.0), goal=Goal(-3.0, 7.25), dt=0.05, max_time=30.0, goal_tol=0.2,
             angle_tol=0.1, params=RobotParams(0.4, 0.05, 1.5), controller="rules/five.rules",
         )
         assert sc.start.theta == 4.0 - math.tau
-        data = scenario_to_dict(sc)
+        data = asdict(sc)
         assert list(data) == [f.name for f in fields(Scenario)]
         assert scenario_from_dict(json.loads(json.dumps(data))) == sc
-        assert scenario_to_dict(replace(sc, controller=builtin(5))) == {**data, "controller": "custom"}
 
     def test_defaults_applied_for_optional_fields(self):
         sc = scenario_from_dict({"start": {"x": 0, "y": 0}, "goal": {"x": 1, "y": 1}})

@@ -1,0 +1,159 @@
+"""Mutation check: every listed one-line mutant must fail its tests.
+
+    python tools/mutation_check.py
+
+Each mutant names a source file, an anchor text that occurs exactly once
+in it, the text that replaces the anchor, and the test files expected to
+catch the change.  For each mutant the script copies ``src``, ``tests``,
+``demos``, ``docs``, ``README.md`` and ``pyproject.toml`` to a temporary
+directory, applies the mutant there and runs pytest on its test files,
+one process at a time.  The unmutated copy runs the same files first, so a
+suite that already fails cannot pass for a kill.
+
+The mutants pin the comparisons the docs and docstrings state (inclusive
+or strict ties), the run's time and tick budgets, the distance floor of a
+built-in, and the centroid window's widening to the left.  ``EQUIVALENT``
+lists mutants that no test can kill, each with the reason; they are not
+run.
+
+Exits non-zero if any mutant survives, if any anchor is missing or occurs
+more than once, or if pytest does not run cleanly.  Uses only the standard
+library and pytest.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "demos", "docs", "README.md", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in ``path``
+    new: str
+    tests: tuple[str, ...]
+
+
+class Equivalent(NamedTuple):
+    path: str
+    old: str
+    new: str
+    reason: str
+
+
+KINEMATICS = "src/fuzzynav/kinematics.py"
+NAVIGATOR = "src/fuzzynav/navigator.py"
+SIMULATION = "src/fuzzynav/simulation.py"
+ENGINE = "src/fuzzynav/engine.py"
+
+MUTANTS = (
+    Mutant(KINEMATICS, "return math.pi if wrapped <= -math.pi else wrapped",
+           "return math.pi if wrapped < -math.pi else wrapped", ("tests/test_kinematics.py",)),
+    Mutant(KINEMATICS, "if abs(diff) < OMEGA_STRAIGHT_TOL:",
+           "if abs(diff) <= OMEGA_STRAIGHT_TOL:", ("tests/test_kinematics.py",)),
+    Mutant(KINEMATICS, "if abs(tw.omega) < OMEGA_STRAIGHT_TOL:",
+           "if abs(tw.omega) <= OMEGA_STRAIGHT_TOL:", ("tests/test_kinematics.py",)),
+    Mutant(NAVIGATOR, "if e_d < COINCIDENT_TOL:",
+           "if e_d <= COINCIDENT_TOL:", ("tests/test_navigator.py",)),
+    Mutant(SIMULATION, "reached = errors.e_d <= sc.goal_tol",
+           "reached = errors.e_d < sc.goal_tol", ("tests/test_simulation.py",)),
+    Mutant(SIMULATION, "abs(errors.e_theta) <= sc.angle_tol",
+           "abs(errors.e_theta) < sc.angle_tol", ("tests/test_simulation.py",)),
+    Mutant(SIMULATION, "if reached or t >= sc.max_time:",
+           "if reached or t > sc.max_time:", ("tests/test_simulation.py",)),
+    Mutant(SIMULATION, "if self.max_time / self.dt > MAX_TICKS:",
+           "if self.max_time / self.dt >= MAX_TICKS:", ("tests/test_simulation.py",)),
+    Mutant(SIMULATION, "MIN_D_MAX = 1.0", "MIN_D_MAX = 0.0", ("tests/test_simulation.py",)),
+    # every built-in lists its output terms in peak order, so only a rule
+    # base listing them otherwise takes this branch
+    Mutant(ENGINE, "                if start < first:\n                    first = start\n", "",
+           ("tests/test_engine.py",)),
+)
+
+EQUIVALENT = (
+    Equivalent(ENGINE, "if area < ZERO_AREA_TOL:", "if area <= ZERO_AREA_TOL:",
+               "no input is known whose area equals ZERO_AREA_TOL exactly: where builtin(3)'s flag "
+               "flips, one float step of strength moves the area from below it to above it"),
+    Equivalent(ENGINE, "        if s > 0.0:\n            start, stop = spans[k]",
+               "        if s >= 0.0:\n            start, stop = spans[k]",
+               "a term at strength 0.0 clips to zeros, which leave the max-aggregate unchanged, "
+               "and widening the window over zeros adds only zero moment terms"),
+    Equivalent(ENGINE, "_MEMO_SIZE = 16", "_MEMO_SIZE = 1",
+               "the memo returns what recomputing would, so its size changes only how often it hits"),
+)
+
+
+def anchor_problems(root: str = ROOT) -> list[str]:
+    """One line per anchor that does not occur exactly once in its file."""
+    problems = []
+    for m in MUTANTS + EQUIVALENT:
+        with open(os.path.join(root, m.path), encoding="utf-8") as fh:
+            count = fh.read().count(m.old)
+        if count != 1:
+            problems.append(f"{m.path}: anchor {m.old.strip()!r} occurs {count} times, not once")
+    return problems
+
+
+def _copy(dest: str):
+    for name in COPIED:
+        src = os.path.join(ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(dest, name), ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(src, dest)
+
+
+def _pytest(copy: str, tests: tuple[str, ...]) -> int:
+    env = {**os.environ, "PYTHONPATH": os.path.join(copy, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def _run(tests: tuple[str, ...], mutant: Mutant | None = None) -> int:
+    """pytest's exit code on ``tests`` in a fresh copy, ``mutant`` applied."""
+    with tempfile.TemporaryDirectory(prefix="fuzzynav-mutant-") as copy:
+        _copy(copy)
+        if mutant is not None:
+            path = os.path.join(copy, mutant.path)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text.replace(mutant.old, mutant.new))
+        return _pytest(copy, tests)
+
+
+def main() -> int:
+    problems = anchor_problems()
+    for problem in problems:
+        print(f"mutation_check: {problem}")
+    if problems:
+        return 1
+    every_test = tuple(sorted({t for m in MUTANTS for t in m.tests}))
+    code = _run(every_test)
+    if code != 0:
+        print(f"mutation_check: the unmutated tests exit {code}: {' '.join(every_test)}")
+        return 1
+    killed = 0
+    for m in MUTANTS:
+        started = time.perf_counter()
+        code = _run(m.tests, m)
+        # 1: a test failed; 0: all passed; anything else: pytest itself did not run cleanly
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+        killed += code == 1
+        change = f"{m.old.strip()!r} -> {m.new.strip()!r}"
+        print(f"{verdict:<9} {os.path.basename(m.path)}: {change} ({time.perf_counter() - started:.1f} s)")
+    for e in EQUIVALENT:
+        print(f"{'skipped':<9} {os.path.basename(e.path)}: {e.old.strip()!r} -> {e.new.strip()!r}: equivalent, {e.reason}")
+    print(f"{killed} of {len(MUTANTS)} mutants killed; {len(EQUIVALENT)} listed as equivalent, not run")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
