@@ -3,22 +3,24 @@
 Pipeline: fuzzify both inputs, fire the rules with min-AND, give each
 output term the max strength of the rules naming it, clip the terms at
 those strengths, aggregate with max, and defuzzify by centroid (trapezoid
-rule on a fixed 8001-point grid).  A rule base is compiled on its first
-inference into a table from each (angle term, distance term) cell to its
-rule's consequent pair and output terms sampled on that grid, each kept only
-on the span of grid indices where it is non-zero.  Clipping and aggregation
-run only over the spans of the terms that fired; every sample outside them
-is exactly zero, and the trapezoid sums still run over all 8001 points, so
-the result equals clipping every term on the whole grid, bit for bit.  One
-working buffer serves each centroid: once the area is summed, the moment
-x·mu is formed in it in place.  The min-AND and the final clamp are
-conditional expressions making the comparisons of ``min`` and ``max``,
-so they equal the builtins, signed zeros included, without their calls.
+rule on a fixed 8001-point grid).  A rule base resolves its rules into a
+cell table, from each (angle term, distance term) cell to its rule's
+consequent term pair, when it is built.  On its first inference its output
+terms are sampled on that grid, each kept only on the span of grid indices
+where it is non-zero, and its memo of crisp results is set up.  Clipping
+and aggregation run only over the spans of the terms that fired; every
+sample outside them is exactly zero, and the trapezoid sums still run over
+all 8001 points, so the result equals clipping every term on the whole
+grid, bit for bit.  One working buffer serves each centroid: once the
+area is summed, the moment x·mu is formed in it in place.  The min-AND and
+the final clamp are conditional expressions making the comparisons of
+``min`` and ``max``, so they equal the builtins, signed zeros included,
+without their calls.
 When the two outputs share one sampling and their per-term strengths are
 equal (a robot heading straight at the goal on a mirrored rule grid), one
 centroid serves both.  Only the cells whose two input degrees are both
 non-zero fire (at most four for a 50%-overlap partition), and each
-compiled base keeps its last few crisp results keyed by the two degree
+rule base keeps its last few crisp results keyed by the two degree
 tuples, so a repeated degree pair (a robot on a saturated plateau of both
 inputs) reuses its result.
 All values are immutable, every function is pure (the one working buffer is
@@ -44,7 +46,7 @@ from .membership import LinguisticVariable, fuzzify
 if TYPE_CHECKING:
     from .rulebase import RuleBase
 
-__all__ = ["CompiledRuleBase", "InferenceResult", "infer", "ZERO_AREA_TOL"]
+__all__ = ["InferenceResult", "infer", "ZERO_AREA_TOL"]
 
 # Uniform-grid resolution for centroid quadrature.  8001 points keeps the
 # trapezoid rule within ~5e-8 of a brute-force reference for clipped
@@ -53,7 +55,7 @@ __all__ = ["CompiledRuleBase", "InferenceResult", "infer", "ZERO_AREA_TOL"]
 # by array length, so summing a shorter window would change the last bits.
 _SAMPLES = 8001
 
-# Crisp results each compiled rule base keeps, least recently used first out.
+# Crisp results each rule base keeps, least recently used first out.
 # A tick whose heading error lies past the outermost angle peak and whose
 # distance is clamped at the universe edge repeats the previous tick's
 # degrees, so a few entries catch the plateaus of a closed-loop run.
@@ -191,51 +193,31 @@ def _term_strengths(cells, n_right: int, n_left: int, angle, dist) -> tuple[tupl
     return tuple(right), tuple(left)
 
 
-class CompiledRuleBase(NamedTuple):
-    """A rule base resolved for inference.
+def _compile(cells, right_var: LinguisticVariable, left_var: LinguisticVariable
+             ) -> Callable[[tuple[float, ...], tuple[float, ...]], InferenceResult]:
+    """``outputs(angle, dist)``: the crisp ``InferenceResult`` for the two
+    inputs' degrees over the cell table ``cells[a][d] = (right, left)``
+    consequent term indices, memoised on the degrees."""
+    # keyed by geometry, so equal right and left variables share one sampling
+    right, left = (_sample(v.lo, v.hi, tuple(t.mf for t in v.terms)) for v in (right_var, left_var))
+    n_right, n_left = len(right_var.terms), len(left_var.terms)
+    shared = left is right
 
-    ``cells[a][d]`` holds the (right, left) consequent term indices of the
-    rule on cell (a, d); ``right`` and ``left`` the sampled output
-    universes.
-    ``outputs(angle, dist)`` is the crisp ``InferenceResult`` for the two
-    inputs' degrees, memoised on them.
-    """
+    # Keys compare by value, so degrees 0.0 and -0.0 share an entry: both
+    # leave their cells unfired, so the result is the same.  The memo
+    # holds the tables, not the rule base, so no reference cycle keeps a
+    # dropped base's sampled outputs alive.  ``_term_strengths`` and
+    # ``_centroid`` are module globals, looked up on every miss.
+    # Strengths are never -0.0 or nan, so equal tuples are equal bit for
+    # bit, and on one shared sampling they give one centroid.
+    @lru_cache(maxsize=_MEMO_SIZE)
+    def outputs(angle, dist) -> InferenceResult:
+        rs, ls = _term_strengths(cells, n_right, n_left, angle, dist)
+        v_right, right_zero = _centroid(right, rs)
+        v_left, left_zero = (v_right, right_zero) if shared and ls == rs else _centroid(left, ls)
+        return InferenceResult(v_right, v_left, right_zero, left_zero)
 
-    angle_var: LinguisticVariable
-    distance_var: LinguisticVariable
-    cells: tuple[tuple[tuple[int, int], ...], ...]
-    right: _Sampled
-    left: _Sampled
-    outputs: Callable[[tuple[float, ...], tuple[float, ...]], InferenceResult]
-
-    @classmethod
-    def of(cls, angle_var: LinguisticVariable, distance_var: LinguisticVariable,
-           right_var: LinguisticVariable, left_var: LinguisticVariable, rules) -> CompiledRuleBase:
-        """Compile from the four variables and each rule's resolved term indices."""
-        grid = [[None] * len(distance_var.terms) for _ in angle_var.terms]
-        for a, d, r, l in rules:
-            grid[a][d] = (r, l)
-        cells = tuple(map(tuple, grid))
-        # keyed by geometry, so equal right and left variables share one sampling
-        right, left = (_sample(v.lo, v.hi, tuple(t.mf for t in v.terms)) for v in (right_var, left_var))
-        n_right, n_left = len(right_var.terms), len(left_var.terms)
-        shared = left is right
-
-        # Keys compare by value, so degrees 0.0 and -0.0 share an entry: both
-        # leave their cells unfired, so the result is the same.  The memo
-        # holds the tables, not the compiled base, so no reference cycle
-        # keeps a dropped base's sampled outputs alive.  ``_term_strengths``
-        # and ``_centroid`` are module globals, looked up on every miss.
-        # Strengths are never -0.0 or nan, so equal tuples are equal bit for
-        # bit, and on one shared sampling they give one centroid.
-        @lru_cache(maxsize=_MEMO_SIZE)
-        def outputs(angle, dist) -> InferenceResult:
-            rs, ls = _term_strengths(cells, n_right, n_left, angle, dist)
-            v_right, right_zero = _centroid(right, rs)
-            v_left, left_zero = (v_right, right_zero) if shared and ls == rs else _centroid(left, ls)
-            return InferenceResult(v_right, v_left, right_zero, left_zero)
-
-        return cls(angle_var, distance_var, cells, right, left, outputs)
+    return outputs
 
 
 def infer(rb: RuleBase, e_theta: float, e_d: float) -> InferenceResult:
@@ -247,5 +229,4 @@ def infer(rb: RuleBase, e_theta: float, e_d: float) -> InferenceResult:
         require_finite("e_theta", e_theta)
     if not math.isfinite(e_d):
         require_finite("e_d", e_d)
-    compiled = rb.compiled
-    return compiled.outputs(fuzzify(compiled.angle_var, e_theta), fuzzify(compiled.distance_var, e_d))
+    return rb.compiled(fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d))

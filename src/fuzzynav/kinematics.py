@@ -90,11 +90,7 @@ class RobotParams:
 
     def __post_init__(self):
         for name in ("wheel_base", "wheel_radius", "v_max"):
-            value = getattr(self, name)
-            require_finite(name, value)
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0")
-            require_finite(name, value, bounded=True, floored=True)
+            require_finite(name, getattr(self, name), bounded=True, floored=True)
 
 
 def wheel_to_twist(ws: WheelSpeeds, p: RobotParams) -> Twist:

@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ._limits import require_finite
-from .engine import CompiledRuleBase
+from .engine import InferenceResult, _compile
 from .membership import LinguisticVariable, uniform_variable
 
 __all__ = [
@@ -54,7 +54,9 @@ class RuleBase:
     Construction checks that each output universe is at least 1e-6 wide,
     then that every label resolves and every (angle term, distance term)
     cell holds exactly one rule, or raises one ValueError listing every
-    problem, joined by ``"; "``, as ``parse_rulebase`` words them.
+    problem, joined by ``"; "``, as ``parse_rulebase`` words them.  A base
+    that exists holds its grid as ``_cells[a][d]``, the (right, left)
+    consequent term indices of the rule on (angle term a, distance term d).
     """
 
     angle_var: LinguisticVariable
@@ -66,16 +68,17 @@ class RuleBase:
     def __post_init__(self):
         _check_output(self.right_var)
         _check_output(self.left_var)
-        indices, problems = _resolve((self.angle_var, self.distance_var, self.right_var, self.left_var), self.rules)
+        cells, problems = _resolve((self.angle_var, self.distance_var, self.right_var, self.left_var), self.rules)
         if problems:
             raise ValueError("; ".join(p.message for p in problems))
-        # each rule's (angle, distance, right, left) term indices, for the compile
-        object.__setattr__(self, "_indices", indices)
+        object.__setattr__(self, "_cells", cells)
 
     @cached_property
-    def compiled(self) -> CompiledRuleBase:
-        """Built for inference on first use."""
-        return CompiledRuleBase.of(self.angle_var, self.distance_var, self.right_var, self.left_var, self._indices)
+    def compiled(self) -> Callable[[tuple[float, ...], tuple[float, ...]], InferenceResult]:
+        """``compiled(angle, dist)``: the crisp ``InferenceResult`` for the
+        two inputs' degrees, memoised on them; built, with the sampled
+        outputs, on first use."""
+        return _compile(self._cells, self.right_var, self.left_var)
 
 
 def _check_output(var: LinguisticVariable):
@@ -176,8 +179,6 @@ def builtin(
     if n_mfs not in _GRIDS:
         raise ValueError(f"no built-in rule base of size {n_mfs}; choose one of {BUILTIN_SIZES}")
     for name, value in (("d_max", d_max), ("v_max", v_max)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
         require_finite(name, value, bounded=True, floored=True)
     if not 0 < angle_band <= math.pi:
         raise ValueError(f"angle_band must lie in (0, pi], got {angle_band}")
@@ -212,14 +213,15 @@ _COLUMNS = (("antecedent", "angle"), ("antecedent", "distance"),
             ("consequent", "right"), ("consequent", "left"))
 
 
-def _resolve(variables: tuple, rules: tuple) -> tuple[tuple[tuple[int, int, int, int], ...], list[_Problem]]:
-    """Resolve every rule against the (angle, distance, right, left)
-    variables to its four term indices, and list the grid problems:
-    unresolved labels (index -1), duplicate cells and missing cells, in
-    rule order with missing cells last.
+def _resolve(variables: tuple, rules: tuple) -> tuple[tuple[tuple[tuple[int, int], ...], ...], list[_Problem]]:
+    """Resolve the rules against the (angle, distance, right, left)
+    variables into the cell table ``cells[a][d] = (right, left)`` of term
+    indices, and list the grid problems: unresolved labels, duplicate cells
+    and missing cells, in rule order with missing cells last.  The table is
+    complete only when there are no problems.
     """
     positions = [{label: i for i, label in enumerate(var.labels)} for var in variables]
-    indices = tuple(tuple(pos.get(label, -1) for pos, label in zip(positions, r)) for r in rules)
+    grid: list[list] = [[None] * len(variables[1].terms) for _ in variables[0].terms]
     problems: list[_Problem] = []
     first: dict[tuple[str, str], int] = {}
     for n, r in enumerate(rules):
@@ -231,6 +233,9 @@ def _resolve(variables: tuple, rules: tuple) -> tuple[tuple[tuple[int, int, int,
             problems.append(_Problem(f"duplicate cell: ({cell[0]}, {cell[1]})", n, first=first[cell]))
         else:
             first[cell] = n
+            a, d, right, left = (pos.get(label) for pos, label in zip(positions, r))
+            if a is not None and d is not None:
+                grid[a][d] = (right, left)
     problems += [_Problem(f"incomplete grid: ({a}, {d}) undefined")
                  for a in variables[0].labels for d in variables[1].labels if (a, d) not in first]
-    return indices, problems
+    return tuple(map(tuple, grid)), problems

@@ -248,9 +248,11 @@ def render_rulebase(rb: RuleBase) -> str:
             if _tokenize(t.label) != [(t.label, 1)]:
                 raise ValueError(f"variable '{role}': term label {t.label!r} is not one rules-format token")
             lines.append(f"term {role} {t.label} tri {t.mf.left!r} {t.mf.peak!r} {t.mf.right!r}")
-    for _, r in sorted(zip(rb._indices, rb.rules), key=lambda pair: pair[0][:2]):
-        lines.append(
-            f"rule if angle is {r.angle_term} and distance is {r.distance_term} "
-            f"then right is {r.right_term}, left is {r.left_term}"
-        )
+    right_labels, left_labels = rb.right_var.labels, rb.left_var.labels
+    for angle_label, row in zip(rb.angle_var.labels, rb._cells):
+        for distance_label, (r, l) in zip(rb.distance_var.labels, row):
+            lines.append(
+                f"rule if angle is {angle_label} and distance is {distance_label} "
+                f"then right is {right_labels[r]}, left is {left_labels[l]}"
+            )
     return "\n".join(lines) + "\n"

@@ -326,4 +326,6 @@ def load_scenario(path: str) -> Scenario:
         raise ValueError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # a rejected token, too many digits, too deep a nesting
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: scenario config must be a JSON object, got {type(data).__name__}")
     return scenario_from_dict(data)

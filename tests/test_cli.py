@@ -287,7 +287,7 @@ class TestUnusableFiles:
         ('{"start": ' + "[" * 100_000 + "]" * 100_000 + "}", "scenario.json: invalid JSON: "),
         ('{"start": {"x": 0, "y": 0}, "goal": {"x": 1, "y": 1}, "dt": 1' + "0" * 5000 + "}",
          "scenario.json: invalid JSON: Exceeds the limit (4300 digits)"),
-        ("[]", "error: scenario config must be a mapping"),
+        ("[]", "scenario.json: scenario config must be a JSON object, got list"),
     ], ids=["integer-overflowing-a-float", "nested-past-the-recursion-limit", "integer-past-the-digit-limit",
             "not-a-mapping"])
     def test_malformed_scenario_exits_1_without_a_traceback(self, tmp_path, command, body, message):

@@ -53,7 +53,7 @@ def aggregate(var, fired):
     whose degree is the given strength; Z is at degree 1 and the other
     distance terms at 0, so the grid's other rules (the first term of
     ``var`` as filler) never fire.
-    Returns the crisp ``(value, zero_area)`` of ``rb.compiled.outputs`` and
+    Returns the crisp ``(value, zero_area)`` of ``rb.compiled`` and
     the clips an independent integrator needs: (triangle, strength) per
     fired term, duplicates combined by max.
     """
@@ -68,7 +68,7 @@ def aggregate(var, fired):
             rules.append(Rule(f"A{i}", d, out, out))
     rb = RuleBase(angle, distance, var, var, tuple(rules))
     degrees = tuple(s for _, s in fired) + (0.0,) * (n - len(fired))
-    res = rb.compiled.outputs(degrees, fuzzify(distance, 0.0))
+    res = rb.compiled(degrees, fuzzify(distance, 0.0))
     strengths = {}
     for label, s in fired:
         strengths[label] = max(s, strengths.get(label, 0.0))
@@ -79,10 +79,14 @@ def aggregate(var, fired):
 
 def per_term_strengths(rb, e_theta, e_d):
     """{label: strength} per output term, (right, left), from the engine's sparse firing."""
-    compiled = rb.compiled
     angle, dist = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
-    right, left = engine._term_strengths(compiled.cells, len(rb.right_var.terms), len(rb.left_var.terms), angle, dist)
+    right, left = engine._term_strengths(rb._cells, len(rb.right_var.terms), len(rb.left_var.terms), angle, dist)
     return dict(zip(rb.right_var.labels, right)), dict(zip(rb.left_var.labels, left))
+
+
+def sampled(var):
+    """``var`` as the engine samples it: equal geometries share one sampling."""
+    return engine._sample(var.lo, var.hi, tuple(t.mf for t in var.terms))
 
 
 class TestFireRules:
@@ -112,9 +116,9 @@ class TestFireRules:
     def test_strength_is_min_of_degrees(self):
         # angle degree 0.3 on P alone, distance degree 0.7 on F alone: only
         # rule (P, F) -> right F, left M fires, at min(0.3, 0.7)
-        compiled = builtin(3, d_max=10.0).compiled
+        cells = builtin(3, d_max=10.0)._cells
         angle, dist = (0.0, 0.0, 0.3), (0.0, 0.0, 0.7)  # terms N Z P; Z M F
-        assert engine._term_strengths(compiled.cells, 3, 3, angle, dist) == ((0.0, 0.0, 0.3), (0.0, 0.3, 0.0))
+        assert engine._term_strengths(cells, 3, 3, angle, dist) == ((0.0, 0.0, 0.3), (0.0, 0.3, 0.0))
 
 
 def velocity_var():
@@ -204,7 +208,7 @@ class TestInfer:
         rb = builtin(7, d_max=24.41)
         assert rb.compiled is rb.compiled
         # right and left have the same term geometry, so one sampling serves both
-        assert rb.compiled.right is rb.compiled.left
+        assert sampled(rb.right_var) is sampled(rb.left_var)
 
     def test_rule_z_z_gives_slow_centroid_on_both(self):
         # on the (Z, Z) peaks both motors defuzzify the S shoulder; its exact
@@ -257,7 +261,6 @@ def dense_reference(rb, e_theta, e_d):
     """Every rule fires (min-AND of its two degrees), each output term takes
     the max in rule order, then the engine's centroid: ((right, left)
     per-term strengths, InferenceResult)."""
-    compiled = rb.compiled
     angle, dist = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
     right = [0.0] * len(rb.right_var.terms)
     left = [0.0] * len(rb.left_var.terms)
@@ -267,7 +270,8 @@ def dense_reference(rb, e_theta, e_d):
         s = min(angle[a], dist[d])
         right[r] = max(right[r], s)
         left[l] = max(left[l], s)
-    (v_right, right_zero), (v_left, left_zero) = engine._centroid(compiled.right, right), engine._centroid(compiled.left, left)
+    v_right, right_zero = engine._centroid(sampled(rb.right_var), right)
+    v_left, left_zero = engine._centroid(sampled(rb.left_var), left)
     return (tuple(right), tuple(left)), InferenceResult(v_right, v_left, right_zero, left_zero)
 
 
@@ -335,7 +339,7 @@ class TestSparseFiring:
 
     def test_repeated_degree_pair_reuses_the_result(self):
         rb = builtin(3, d_max=24.41)
-        memo = rb.compiled.outputs
+        memo = rb.compiled
         # past the outermost angle peak and beyond d_max: the same degrees
         first = infer(rb, 3.0, 30.0)
         hits = memo.cache_info().hits
@@ -402,12 +406,11 @@ class TestMirroredOutputs:
     @pytest.mark.parametrize("name", sorted(mirrored_cases()))
     def test_equal_strengths_defuzzify_once_per_sampling(self, name, monkeypatch):
         rb, angle, dist = mirrored_cases()[name]
-        compiled = rb.compiled
         shared = name != "left range wider than right"
-        assert (compiled.left is compiled.right) == shared
-        rs, ls = engine._term_strengths(compiled.cells, len(rb.right_var.terms), len(rb.left_var.terms), angle, dist)
+        assert (sampled(rb.left_var) is sampled(rb.right_var)) == shared
+        rs, ls = engine._term_strengths(rb._cells, len(rb.right_var.terms), len(rb.left_var.terms), angle, dist)
         assert rs == ls
-        right, left = engine._centroid(compiled.right, rs), engine._centroid(compiled.left, ls)
+        right, left = engine._centroid(sampled(rb.right_var), rs), engine._centroid(sampled(rb.left_var), ls)
         calls = []
 
         def counting(*args, _centroid=engine._centroid):
@@ -415,7 +418,7 @@ class TestMirroredOutputs:
             return _centroid(*args)
 
         monkeypatch.setattr(engine, "_centroid", counting)
-        got = compiled.outputs(angle, dist)
+        got = rb.compiled(angle, dist)
         assert len(calls) == (1 if shared else 2)
         assert hexed(got) == hexed((right[0], left[0], right[1], left[1]))
         assert got.right_zero_area == (name == "nothing fired")
@@ -438,11 +441,6 @@ def full_grid_centroid(var, strengths):
     xmu = xs * mu
     moment = h * (xmu.sum() - 0.5 * (xmu[0] + xmu[-1]))
     return float(min(max(moment / area, lo), hi)), False
-
-
-def sampled(var):
-    """``var`` as the compile samples it."""
-    return engine._sample(var.lo, var.hi, tuple(t.mf for t in var.terms))
 
 
 def output_vars():

@@ -62,13 +62,12 @@ class TestRobotParams:
 
     @pytest.mark.parametrize("field", ["wheel_base", "wheel_radius", "v_max"])
     def test_every_field_is_bounded_and_floored(self, field):
-        for bad, message in ((1e6 * (1 + 2**-52), OVER), (1e-6 * (1 - 2**-53), UNDER)):
-            with raises(f"{field} {message}, got "):
+        # the size floor rejects 0.0 and every other value <= 0
+        for bad, message in ((1e6 * (1 + 2**-52), OVER), (-1e7, OVER), (1e-6 * (1 - 2**-53), UNDER), (0.0, UNDER)):
+            with raises(f"{field} {message}, got {bad}"):
                 RobotParams(**{field: bad})
         for edge in (1e6, 1e-6):
             assert getattr(RobotParams(**{field: edge}), field) == edge
-        with raises(f"{field} must be > 0"):
-            RobotParams(**{field: -1e7})
 
 
 class TestMembership:

@@ -260,6 +260,15 @@ class TestVariableValidation:
                 (Term("a", TriangularMF(0, 0, 0.3)), Term("b", TriangularMF(0.7, 1, 1))),
             )
 
+    def test_rejects_terms_that_only_touch(self):
+        # both terms are 0 at x = 1, where their supports meet: coverage
+        # needs the spans to overlap, not just to touch
+        with pytest.raises(ValueError, match=r"^variable 'v': terms do not cover the universe \(gap at or after x = 1\.0\)$"):
+            LinguisticVariable(
+                "v", 0.0, 2.0,
+                (Term("a", TriangularMF(0.0, 0.0, 1.0)), Term("b", TriangularMF(1.0, 2.0, 2.0))),
+            )
+
     def test_rejects_bare_triangle_at_edge(self):
         # peak inside but foot exactly at the boundary leaves mu(lo) = 0
         with pytest.raises(ValueError, match="cover"):

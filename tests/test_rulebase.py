@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -54,7 +55,7 @@ class TestBuiltinGrids:
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_builtins_compile_one_consequent_pair_per_cell(self, n):
         rb = builtin(n)
-        cells = rb.compiled.cells
+        cells = rb._cells
         assert [len(row) for row in cells] == [len(rb.distance_var.terms)] * len(rb.angle_var.terms)
         assert all(isinstance(r, int) and isinstance(l, int) for row in cells for r, l in row)
 
@@ -73,10 +74,17 @@ class TestBuiltinGrids:
         with pytest.raises(ValueError, match=rf"^angle_band must lie in \(0, pi\], got {bad}$"):
             builtin(3, angle_band=bad)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_angle_band_of_pi_is_accepted(self):
+        # the band is (0, pi]: at pi the outer peaks sit on the universe edges
+        peaks = [t.mf.peak for t in builtin(3, angle_band=math.pi).angle_var.terms]
+        assert peaks == [-math.pi, 0.0, math.pi]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
     @pytest.mark.parametrize("field", ["d_max", "v_max"])
     def test_non_finite_scale_rejected_by_name(self, field, bad):
-        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+        # the size floor rejects 0.0 and every other value <= 0
+        message = "must be finite" if not math.isfinite(bad) else "must be at least 1e-06"
+        with pytest.raises(ValueError, match=re.escape(f"{field} {message}, got {bad}") + "$"):
             builtin(3, **{field: bad})
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fuzzynav import RuleBase, RuleDefinitionError, builtin, parse_rulebase, render_rulebase, uniform_variable
@@ -214,3 +216,40 @@ class TestRenderedShape:
         angle_terms = [ln.split() for ln in text.splitlines() if ln.startswith("term angle")]
         peaks = [float(parts[4 + 1]) for parts in angle_terms]  # tri <left> <peak> <right>
         assert peaks == sorted(peaks)
+
+
+# declared out of peak order and with the rules out of grid order: the
+# render sorts the term lines by peak and writes the rules in term
+# declaration order, angle-major
+SHUFFLED = """\
+var angle range -3.0 3.0
+var distance range 0.0 10.0
+var right range 0.0 2.0
+var left range 0.0 2.0
+term angle POS tri 0.0 3.0 3.0
+term angle NEG tri -3.0 -3.0 0.0
+term angle ZERO tri -3.0 0.0 3.0
+term distance FAR tri 0.0 10.0 10.0
+term distance NEAR tri 0.0 0.0 10.0
+term right GO tri 0.0 2.0 2.0
+term right STOP tri 0.0 0.0 2.0
+term left STOP tri 0.0 0.0 2.0
+term left GO tri 0.0 2.0 2.0
+rule if angle is ZERO and distance is NEAR then right is STOP, left is STOP
+rule if angle is NEG and distance is FAR then right is STOP, left is GO
+rule if angle is POS and distance is NEAR then right is GO, left is STOP
+rule if angle is ZERO and distance is FAR then right is GO, left is GO
+rule if angle is NEG and distance is NEAR then right is STOP, left is STOP
+rule if angle is POS and distance is FAR then right is GO, left is STOP
+"""
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("builtin(3)", "c8c78570035bb2e7ad11f8e3a416da7442c86ff17ab50b317425b26f6eb169aa"),
+    ("builtin(5)", "72946b2db4e4ebcd5820a12f307b65c85d0c6615e22e5187af18f2da902f81de"),
+    ("builtin(7)", "4fa82c2cbdc9a9987e20df0b0e8e955dc245ac9c920d003ea31d05a311d3a15e"),
+    ("shuffled file", "80399b18bd353fb8b10fe0eb34010dea02ff03b4b411983353ed9eace305e2eb"),
+])
+def test_rendered_bytes_are_pinned(name, digest):
+    rb = parse_rulebase(SHUFFLED) if name == "shuffled file" else builtin(int(name[-2]))
+    assert hashlib.sha256(render_rulebase(rb).encode("utf-8")).hexdigest() == digest

@@ -12,9 +12,11 @@ suite that already fails cannot pass for a kill.
 
 The mutants pin the comparisons the docs and docstrings state (inclusive
 or strict ties), the run's time and tick budgets, the distance floor of a
-built-in, and the centroid window's widening to the left.  ``EQUIVALENT``
-lists mutants that no test can kill, each with the reason; they are not
-run.
+built-in, the centroid window's widening to the left, the inclusive ends
+of the magnitude bound and the size floor, a built-in's angle band of
+(0, pi], and the strict overlap a variable's terms need to cover their
+universe.  ``EQUIVALENT`` lists mutants that no test can kill, each with
+the reason; they are not run.
 
 Exits non-zero if any mutant survives, if any anchor is missing or occurs
 more than once, or if pytest does not run cleanly.  Uses only the standard
@@ -52,6 +54,9 @@ KINEMATICS = "src/fuzzynav/kinematics.py"
 NAVIGATOR = "src/fuzzynav/navigator.py"
 SIMULATION = "src/fuzzynav/simulation.py"
 ENGINE = "src/fuzzynav/engine.py"
+LIMITS = "src/fuzzynav/_limits.py"
+RULEBASE = "src/fuzzynav/rulebase.py"
+MEMBERSHIP = "src/fuzzynav/membership.py"
 
 MUTANTS = (
     Mutant(KINEMATICS, "return math.pi if wrapped <= -math.pi else wrapped",
@@ -70,7 +75,15 @@ MUTANTS = (
            "if reached or t > sc.max_time:", ("tests/test_simulation.py",)),
     Mutant(SIMULATION, "if self.max_time / self.dt > MAX_TICKS:",
            "if self.max_time / self.dt >= MAX_TICKS:", ("tests/test_simulation.py",)),
+    Mutant(SIMULATION, "if not self.max_time >= self.dt:",
+           "if not self.max_time > self.dt:", ("tests/test_simulation.py",)),
     Mutant(SIMULATION, "MIN_D_MAX = 1.0", "MIN_D_MAX = 0.0", ("tests/test_simulation.py",)),
+    Mutant(LIMITS, "not -MAX_MAGNITUDE <= value <= MAX_MAGNITUDE",
+           "not -MAX_MAGNITUDE < value < MAX_MAGNITUDE", ("tests/test_limits.py",)),
+    Mutant(LIMITS, "not value >= MIN_SIZE", "not value > MIN_SIZE", ("tests/test_limits.py",)),
+    Mutant(RULEBASE, "if not 0 < angle_band <= math.pi:",
+           "if not 0 < angle_band < math.pi:", ("tests/test_rulebase.py",)),
+    Mutant(MEMBERSHIP, "if start < reach:", "if start <= reach:", ("tests/test_membership.py",)),
     # every built-in lists its output terms in peak order, so only a rule
     # base listing them otherwise takes this branch
     Mutant(ENGINE, "                if start < first:\n                    first = start\n", "",
