@@ -56,4 +56,4 @@ print(f"built-in 3-MF controller for comparison:    reached={builtin_metrics.rea
 out = os.path.join(os.path.dirname(__file__), "custom.rules")
 with open(out, "w", encoding="utf-8", newline="\n") as fh:
     fh.write(render_rulebase(rb))
-print(f"\ncanonical form written to {out} (validate with: fuzzynav validate {out})")
+print(f"\nrendered form written to {out} (validate with: fuzzynav validate {out})")

@@ -163,7 +163,7 @@ def cmd_validate(rules_path: str, quiet: bool = False) -> int:
 
 
 def cmd_export_rules(size: str, out_path: str, quiet: bool = False) -> int:
-    """Write a built-in rule base in canonical rule-definition form."""
+    """Write a built-in rule base in rule-definition form."""
     _write_text(out_path, render_rulebase(builtin(int(size))))
     if not quiet:
         print(f"wrote {out_path}")

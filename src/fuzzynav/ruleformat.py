@@ -10,8 +10,9 @@ ignored::
 Variables are identified by role: a file must declare exactly the four
 names ``angle``, ``distance``, ``right`` and ``left``.  Shoulder terms are
 written by repeating a breakpoint (left == peak or peak == right).  The
-renderer emits canonical form: variables in role order, terms sorted by
-peak, rules in grid order.  See ``docs/rule_format.md`` for the grammar.
+renderer writes a base as it is stored: variables in role order, then
+terms and rules in the base's order, so parsing a render gives back the
+same base.  See ``docs/rule_format.md`` for the grammar.
 """
 from __future__ import annotations
 
@@ -229,30 +230,22 @@ def parse_rulebase(text: str) -> RuleBase:
 
 
 def render_rulebase(rb: RuleBase) -> str:
-    """Canonical rule-definition text for ``rb``.
+    """Rule-definition text for ``rb``, written as it is stored.
 
-    Variables appear in role order, terms sorted by peak position, rules in
-    grid order (angle-major).  Numbers use ``repr`` so values round-trip
-    exactly; ``parse_rulebase(render_rulebase(rb))`` reproduces ``rb`` when
-    its terms are already peak-ordered.
+    Variables appear in role order, then each variable's terms and the
+    rules in the base's own order.  Numbers use ``repr`` so values
+    round-trip exactly: ``parse_rulebase(render_rulebase(rb)) == rb``.
 
     A term label that is not one token (empty, or holding whitespace, ``,``
     or ``#``) would not parse back: ValueError names its variable and it.
     """
     variables = dict(zip(ROLE_NAMES, (rb.angle_var, rb.distance_var, rb.right_var, rb.left_var)))
-    lines = []
+    lines = [f"var {role} range {var.lo!r} {var.hi!r}" for role, var in variables.items()]
     for role, var in variables.items():
-        lines.append(f"var {role} range {var.lo!r} {var.hi!r}")
-    for role, var in variables.items():
-        for t in sorted(var.terms, key=lambda t: (t.mf.peak, t.mf.left, t.mf.right, t.label)):
+        for t in var.terms:
             if _tokenize(t.label) != [(t.label, 1)]:
                 raise ValueError(f"variable '{role}': term label {t.label!r} is not one rules-format token")
             lines.append(f"term {role} {t.label} tri {t.mf.left!r} {t.mf.peak!r} {t.mf.right!r}")
-    right_labels, left_labels = rb.right_var.labels, rb.left_var.labels
-    for angle_label, row in zip(rb.angle_var.labels, rb._cells):
-        for distance_label, (r, l) in zip(rb.distance_var.labels, row):
-            lines.append(
-                f"rule if angle is {angle_label} and distance is {distance_label} "
-                f"then right is {right_labels[r]}, left is {left_labels[l]}"
-            )
+    lines += [f"rule if angle is {r.angle_term} and distance is {r.distance_term} "
+              f"then right is {r.right_term}, left is {r.left_term}" for r in rb.rules]
     return "\n".join(lines) + "\n"

@@ -243,6 +243,14 @@ def benchmark_scenario(
 
 
 _NUMBER_FIELDS = ("dt", "max_time", "goal_tol", "angle_tol")  # finite numbers, all optional
+# JSON's names for the non-object types ``json.loads`` returns
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array"}
+
+
+def _check_object(data, prefix: str):
+    if not isinstance(data, dict):
+        kind = _JSON_TYPES.get(type(data), type(data).__name__)
+        raise ValueError(f"{prefix}scenario config must be a JSON object, got {kind}")
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str):
@@ -281,8 +289,7 @@ def _record(cls, data: dict, where: str, **defaults):
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from plain config data, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise ValueError("scenario config must be a mapping")
+    _check_object(data, "")
     _check_keys(data, {f.name for f in fields(Scenario)}, "scenario")
     for required in ("start", "goal"):
         if required not in data:
@@ -326,6 +333,5 @@ def load_scenario(path: str) -> Scenario:
         raise ValueError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # a rejected token, too many digits, too deep a nesting
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: scenario config must be a JSON object, got {type(data).__name__}")
+    _check_object(data, f"{path}: ")
     return scenario_from_dict(data)

@@ -287,9 +287,11 @@ class TestUnusableFiles:
         ('{"start": ' + "[" * 100_000 + "]" * 100_000 + "}", "scenario.json: invalid JSON: "),
         ('{"start": {"x": 0, "y": 0}, "goal": {"x": 1, "y": 1}, "dt": 1' + "0" * 5000 + "}",
          "scenario.json: invalid JSON: Exceeds the limit (4300 digits)"),
-        ("[]", "scenario.json: scenario config must be a JSON object, got list"),
+        *((body, f"scenario.json: scenario config must be a JSON object, got {kind}")
+          for body, kind in (("null", "null"), ("true", "boolean"), ("1.5", "number"), ('"x"', "string"),
+                             ("[]", "array"))),
     ], ids=["integer-overflowing-a-float", "nested-past-the-recursion-limit", "integer-past-the-digit-limit",
-            "not-a-mapping"])
+            "null", "boolean", "number", "string", "array"])
     def test_malformed_scenario_exits_1_without_a_traceback(self, tmp_path, command, body, message):
         # in a child process, so an uncaught error shows as its traceback on stderr
         path = tmp_path / "scenario.json"

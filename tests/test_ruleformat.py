@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -54,6 +55,22 @@ class TestRoundTrip:
     def test_render_is_canonical_fixed_point(self):
         text = render_rulebase(builtin(5))
         assert render_rulebase(parse_rulebase(text)) == text
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_a_permuted_file_renders_as_written(self, n, seed):
+        # each variable's term lines and the rule lines shuffled in place:
+        # the render keeps the order it was given, and parses back to its base
+        rng = random.Random(seed)
+        lines = render_rulebase(builtin(n)).splitlines()
+        for prefix in ("term angle ", "term distance ", "term right ", "term left ", "rule "):
+            at = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+            for i, line in zip(at, rng.sample([lines[i] for i in at], len(at))):
+                lines[i] = line
+        text = "\n".join(lines) + "\n"
+        rb = parse_rulebase(text)
+        assert render_rulebase(rb) == text
+        assert parse_rulebase(render_rulebase(rb)) == rb
 
     def test_comments_and_blank_lines_ignored(self):
         noisy = "\n\n# a comment\n" + MINIMAL.replace("var distance", "\nvar distance")
@@ -211,7 +228,7 @@ class TestRenderedShape:
             rule_lines = [ln for ln in text.splitlines() if ln.startswith("rule ")]
             assert len(rule_lines) == count
 
-    def test_terms_sorted_by_peak(self):
+    def test_builtin_terms_are_declared_in_peak_order(self):
         text = render_rulebase(builtin(3))
         angle_terms = [ln.split() for ln in text.splitlines() if ln.startswith("term angle")]
         peaks = [float(parts[4 + 1]) for parts in angle_terms]  # tri <left> <peak> <right>
@@ -219,8 +236,7 @@ class TestRenderedShape:
 
 
 # declared out of peak order and with the rules out of grid order: the
-# render sorts the term lines by peak and writes the rules in term
-# declaration order, angle-major
+# render writes both as declared
 SHUFFLED = """\
 var angle range -3.0 3.0
 var distance range 0.0 10.0
@@ -244,12 +260,15 @@ rule if angle is POS and distance is FAR then right is GO, left is STOP
 """
 
 
+def test_shuffled_file_renders_to_its_own_text():
+    assert render_rulebase(parse_rulebase(SHUFFLED)) == SHUFFLED
+
+
 @pytest.mark.parametrize("name, digest", [
     ("builtin(3)", "c8c78570035bb2e7ad11f8e3a416da7442c86ff17ab50b317425b26f6eb169aa"),
     ("builtin(5)", "72946b2db4e4ebcd5820a12f307b65c85d0c6615e22e5187af18f2da902f81de"),
     ("builtin(7)", "4fa82c2cbdc9a9987e20df0b0e8e955dc245ac9c920d003ea31d05a311d3a15e"),
-    ("shuffled file", "80399b18bd353fb8b10fe0eb34010dea02ff03b4b411983353ed9eace305e2eb"),
 ])
 def test_rendered_bytes_are_pinned(name, digest):
-    rb = parse_rulebase(SHUFFLED) if name == "shuffled file" else builtin(int(name[-2]))
+    rb = builtin(int(name[-2]))
     assert hashlib.sha256(render_rulebase(rb).encode("utf-8")).hexdigest() == digest

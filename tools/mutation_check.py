@@ -14,9 +14,10 @@ The mutants pin the comparisons the docs and docstrings state (inclusive
 or strict ties), the run's time and tick budgets, the distance floor of a
 built-in, the centroid window's widening to the left, the inclusive ends
 of the magnitude bound and the size floor, a built-in's angle band of
-(0, pi], and the strict overlap a variable's terms need to cover their
-universe.  ``EQUIVALENT`` lists mutants that no test can kill, each with
-the reason; they are not run.
+(0, pi], the strict overlap a variable's terms need to cover their
+universe, the order a render writes terms and rules in, and the JSON name
+of a rejected scenario's type.  ``EQUIVALENT`` lists mutants that no test
+can kill, each with the reason; they are not run.
 
 Exits non-zero if any mutant survives, if any anchor is missing or occurs
 more than once, or if pytest does not run cleanly.  Uses only the standard
@@ -57,6 +58,7 @@ ENGINE = "src/fuzzynav/engine.py"
 LIMITS = "src/fuzzynav/_limits.py"
 RULEBASE = "src/fuzzynav/rulebase.py"
 MEMBERSHIP = "src/fuzzynav/membership.py"
+RULEFORMAT = "src/fuzzynav/ruleformat.py"
 
 MUTANTS = (
     Mutant(KINEMATICS, "return math.pi if wrapped <= -math.pi else wrapped",
@@ -88,6 +90,12 @@ MUTANTS = (
     # base listing them otherwise takes this branch
     Mutant(ENGINE, "                if start < first:\n                    first = start\n", "",
            ("tests/test_engine.py",)),
+    # a render writes a base as stored: sorting either its terms or its rules
+    # breaks the identity on a permuted file
+    Mutant(RULEFORMAT, "for t in var.terms:", "for t in sorted(var.terms, key=lambda t: t.mf.peak):",
+           ("tests/test_ruleformat.py",)),
+    Mutant(RULEFORMAT, "for r in rb.rules]", "for r in sorted(rb.rules)]", ("tests/test_ruleformat.py",)),
+    Mutant(SIMULATION, 'bool: "boolean", ', "", ("tests/test_cli.py",)),
 )
 
 EQUIVALENT = (
