@@ -5,28 +5,27 @@ output term the max strength of the rules naming it, clip the terms at
 those strengths, aggregate with max, and defuzzify by centroid (trapezoid
 rule on a fixed 8001-point grid).  A rule base resolves its rules into a
 cell table, from each (angle term, distance term) cell to its rule's
-consequent term pair, when it is built.  On its first inference its output
-terms are sampled on that grid, each kept only on the span of grid indices
-where it is non-zero, and its memo of crisp results is set up.  Clipping
-and aggregation run only over the spans of the terms that fired; every
-sample outside them is exactly zero, and the trapezoid sums still run over
-all 8001 points, so the result equals clipping every term on the whole
-grid, bit for bit.  One working buffer serves each centroid: once the
-area is summed, the moment x·mu is formed in it in place.  The min-AND and
-the final clamp are conditional expressions making the comparisons of
-``min`` and ``max``, so they equal the builtins, signed zeros included,
-without their calls.
-When the two outputs share one sampling and their per-term strengths are
+consequent term pair, when it is built.  On its first inference each
+output variable is compiled: its grid step, and per term its breakpoints
+and the grid indices of its support.  The grid itself is never built.  A
+clipped term is linear on each of at most three runs of grid indices, so
+the max of the fired clips is linear between their run ends and the
+points where two of them cross, and the trapezoid sums over each linear
+piece are taken in closed form from its two end values.  The result is
+the 8001-point trapezoid rule to within a few ulps, in pure Python.  The
+min-AND and the final clamp are conditional expressions making the
+comparisons of ``min`` and ``max``, so they equal the builtins, signed
+zeros included, without their calls.
+When the two outputs compile alike and their per-term strengths are
 equal (a robot heading straight at the goal on a mirrored rule grid), one
 centroid serves both.  Only the cells whose two input degrees are both
 non-zero fire (at most four for a 50%-overlap partition), and each
 rule base keeps its last few crisp results keyed by the two degree
 tuples, so a repeated degree pair (a robot on a saturated plateau of both
 inputs) reuses its result.
-All values are immutable, every function is pure (the one working buffer is
-allocated per call) and the result memo is a thread-safe
-``functools.lru_cache``, so a rule base can be shared freely across
-threads.
+All values are immutable, every function is pure and the result memo is a
+thread-safe ``functools.lru_cache``, so a rule base can be shared freely
+across threads.
 
 ``infer`` runs the whole pipeline and is the one entry point; the stages
 are private (``_term_strengths`` fires and takes the per-term max,
@@ -38,8 +37,6 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
 from ._limits import require_finite
 from .membership import LinguisticVariable, fuzzify
 
@@ -48,12 +45,13 @@ if TYPE_CHECKING:
 
 __all__ = ["InferenceResult", "infer", "ZERO_AREA_TOL"]
 
-# Uniform-grid resolution for centroid quadrature.  8001 points keeps the
-# trapezoid rule within ~5e-8 of a brute-force reference for clipped
-# triangular curves.  Clipping touches only the fired terms' spans, but the
-# two trapezoid sums still read all 8001 points: numpy's pairwise sum groups
-# by array length, so summing a shorter window would change the last bits.
+# The trapezoid rule's grid: 8001 evenly spaced points over the universe,
+# ``lo + i * step`` with the last point at ``hi``, as ``numpy.linspace``
+# places them.  It keeps the centroid within ~5e-8 of a brute-force reference
+# for clipped triangular curves.  The points are never built: the sums over
+# them are taken in closed form.
 _SAMPLES = 8001
+_LAST = _SAMPLES - 1
 
 # Crisp results each rule base keeps, least recently used first out.
 # A tick whose heading error lies past the outermost angle peak and whose
@@ -75,97 +73,187 @@ class InferenceResult(NamedTuple):
     left_zero_area: bool
 
 
-class _Sampled(NamedTuple):
-    """An output universe with every term sampled on the quadrature grid.
-
-    Term k is non-zero only on the grid indices ``[start, stop)`` of
-    ``spans[k]`` (``(0, 0)`` for a term narrower than one grid step), and
-    ``segments[k]`` holds its samples there; every other sample is 0.0.
+class _Output(NamedTuple):
+    """An output variable compiled for ``_centroid``: its universe, the grid
+    step and, ordered by ``first``, one ``(first, stop, k, left, peak -
+    left, right, right - peak)`` per term with a grid point inside its
+    support.  ``k`` is the term's index and ``[first, stop)`` the grid
+    indices of its support: from the first point past ``left`` (0 for a
+    left shoulder) to the first point at or past ``right`` (``_SAMPLES``
+    for a right shoulder).  A shoulder's flat side has width 0.0.
     """
 
     lo: float
     hi: float
-    xs: np.ndarray
-    spans: tuple[tuple[int, int], ...]
-    segments: tuple[np.ndarray, ...]
+    step: float
+    terms: tuple[tuple[int, int, int, float, float, float, float], ...]
 
 
-# Keyed by output geometry.  Four entries hold the three built-ins' outputs
-# at one v_max (right and left share one) with one to spare.  A built-in's
-# entry takes about 0.2 MB, and a caller that cycles through more geometries
-# than the cache holds gets no hits from it, so a larger cache only holds
-# memory.
-@lru_cache(maxsize=4)
-def _sample(lo: float, hi: float, mfs: tuple) -> _Sampled:
-    xs = np.linspace(lo, hi, _SAMPLES)
-    xs.setflags(write=False)
-    spans, segments = [], []
-    for mf in mfs:
-        # a side too narrow to divide by overflows to an infinite slope, which
-        # the clip takes to 0.0 or 1.0, as fuzzify's float division does
-        with np.errstate(over="ignore"):
-            up = 1.0 if mf.is_left_shoulder else (xs - mf.left) / (mf.peak - mf.left)
-            down = 1.0 if mf.is_right_shoulder else (mf.right - xs) / (mf.right - mf.peak)
-        row = np.clip(np.minimum(up, down), 0.0, 1.0)
-        nonzero = np.flatnonzero(row)
-        start, stop = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
-        segment = row[start:stop].copy()
-        segment.setflags(write=False)
-        spans.append((start, stop))
-        segments.append(segment)
-    return _Sampled(lo, hi, xs, tuple(spans), tuple(segments))
+def _output(var: LinguisticVariable) -> _Output:
+    """``var`` compiled for ``_centroid``."""
+    lo, hi = var.lo, var.hi
+    step = (hi - lo) / _LAST
+
+    def past(x: float, strict: bool) -> int:
+        # the first grid index whose point lies past x, or at it unless strict;
+        # the quotient lands within a point of it, and exact comparisons settle it
+        def beyond(i):
+            xi = hi if i == _LAST else i * step + lo
+            return xi > x if strict else xi >= x
+
+        i = min(max(math.floor((x - lo) / step), 0), _SAMPLES)
+        while i > 0 and beyond(i - 1):
+            i -= 1
+        while i < _SAMPLES and not beyond(i):
+            i += 1
+        return i
+
+    terms = []
+    for k, (left, rise, right, fall, left_shoulder, right_shoulder) in enumerate(var._table):
+        first = 0 if left_shoulder else past(left, True)
+        stop = _SAMPLES if right_shoulder else past(right, False)
+        if first < stop:
+            terms.append((first, stop, k, left, rise, right, fall))
+    return _Output(lo, hi, step, tuple(sorted(terms)))
 
 
-def _centroid(sampled: _Sampled, strengths) -> tuple[float, bool]:
+def _mu(line: tuple[float, float, float], x: float) -> float:
+    """The line ``(c, w, s)`` at ``x``: ``min((x - c) / w, s)``, or ``s``
+    where ``w`` is 0.0."""
+    c, w, s = line
+    if not w:
+        return s
+    y = (x - c) / w
+    return s if y > s else y
+
+
+def _centroid(out: _Output, strengths) -> tuple[float, bool]:
     """(crisp value, zero-area flag): the centroid of the terms clipped at
     ``strengths`` and aggregated with max, clamped to the universe.
 
     Below ``ZERO_AREA_TOL`` of area (nothing fired) the universe midpoint
     is returned with the flag set, so the caller stays total.
 
-    Only terms with strength > 0.0 are clipped, each over its own span: a
-    term at strength 0.0 clips to 0.0 everywhere and any term clips to 0.0
-    outside its span, and neither can raise a max that starts at 0.0.  The
-    first fired term's clip is written straight into the zeroed buffer:
-    a span holds only samples > 0.0, so its clip is > 0.0 and equals its
-    max with 0.0.  So the aggregate holds the same 8001 values as clipping
-    every term on the whole grid, and the full-length sums add them in the
-    same order.
+    The value is the trapezoid rule on the grid ``lo + i * step``, summed
+    in closed form.  A fired term is non-zero on its support, where its
+    clip rises, holds its strength and falls: three runs of grid indices,
+    each along one line.  The runs' inner ends are estimated from where a
+    side meets the strength, and each side's value is capped at it, so an
+    estimate one point off moves the result by an ulp at most; the
+    support's ends are exact, so a side narrower than a grid step keeps
+    its foot at 0.0, as the sampled curve does.  Between consecutive run
+    ends ("cuts") every fired clip is one line.  There the aggregate
+    follows the line highest at the interval's first point, up to the last
+    point before a line that ends higher crosses it, and so on.  Each
+    piece along one line adds its sums of mu and i·mu from its two end
+    values.  Which line is on top is decided by values alone, so the order
+    in which the terms are listed does not reach the result; the terms are
+    scanned in order of ``first`` only so the scan can stop at the first
+    term that starts past the interval.
 
-    That buffer is the call's only one.  After the area sum is read, x·mu
-    is formed in place over the fired window; every sample outside it is
-    +0.0, so the buffer then holds the 8001 moment terms of the full grid.
     The clamp to the universe makes the comparisons of ``min(max(c, lo),
     hi)``.
     """
-    lo, hi, xs, spans, segments = sampled
-    mu = None
-    for k, s in enumerate(strengths):
+    lo, hi, step, terms = out
+    fired = []
+    cuts = set()
+    for first, stop, k, left, rise, right, fall in terms:
+        s = strengths[k]
         if s > 0.0:
-            start, stop = spans[k]
-            if mu is None:
-                mu = np.zeros(_SAMPLES)
-                np.minimum(segments[k], s, out=mu[start:stop])
-                first, last = start, stop
+            # [first, up) rises, [up, down) holds s, [down, stop) falls
+            if rise:
+                up = math.ceil((left + s * rise - lo) / step)
+                up = first if up < first else stop if up > stop else up
             else:
-                window = mu[start:stop]
-                np.maximum(window, np.minimum(segments[k], s), out=window)
-                if start < first:
-                    first = start
-                if stop > last:
-                    last = stop
-    if mu is None:
+                up = first
+            if fall:
+                down = math.floor((right - s * fall - lo) / step) + 1
+                down = up if down < up else stop if down > stop else down
+            else:
+                down = stop
+            # each run's line is (c, w, s); (x - right) / -fall is
+            # (right - x) / fall bit for bit
+            fired.append((first, up, down, stop, (left, rise, s), (0.0, 0.0, s), (right, -fall, s)))
+            cuts.update((first, up, down, stop))
+    if not fired:
         return 0.5 * (lo + hi), True
-    h = (hi - lo) / (_SAMPLES - 1)
-    area = h * (float(mu.sum()) - 0.5 * (float(mu[0]) + float(mu[-1])))
-    if area < ZERO_AREA_TOL:
+
+    # the aggregate, left to right: [first index, last index, line, mu at
+    # first, mu at last] per piece along one line
+    pieces = []
+    cuts = sorted(cuts)
+    for p, q in zip(cuts, cuts[1:]):
+        end = q - 1
+        xp = hi if p == _LAST else p * step + lo
+        xe = hi if end == _LAST else end * step + lo
+        # only the highest plateau, and the sides clipped above it, can be
+        # on top: (value at p, value at end, line) for each of them
+        level = 0.0
+        sides = []
+        for first, up, down, stop, rising, flat, falling in fired:
+            if first > p:
+                break
+            if p < stop:
+                if p < up:
+                    sides.append(rising)
+                elif p < down:
+                    if flat[2] > level:
+                        level = flat[2]
+                        lines = [(level, level, flat)]
+                else:
+                    sides.append(falling)
+        if not level:
+            lines = []
+        for line in sides:
+            c, w, s = line
+            if s > level:
+                y = (xp - c) / w
+                y_end = (xe - c) / w
+                lines.append((s if y > s else y, s if y_end > s else y_end, line))
+        if not lines:
+            continue
+        # on top from p: the highest line there, of equal ones the highest at end
+        y, y_end, line = max(lines) if len(lines) > 1 else lines[0]
+        i = p
+        while True:
+            # it holds up to the last point before a line that ends higher
+            # crosses it
+            j = end
+            for other_y, other_end, _ in lines:
+                if other_end > y_end:
+                    gap = y - other_y
+                    x = i + int(gap / (gap + other_end - y_end) * (end - i))
+                    j = x if x < j else j
+            y_j = y_end if j == end else _mu(line, hi if j == _LAST else j * step + lo)
+            if pieces and pieces[-1][2] == line and pieces[-1][1] == i - 1:
+                pieces[-1][1] = j
+                pieces[-1][4] = y_j
+            else:
+                pieces.append([i, j, line, y, y_j])
+            if j == end:
+                break
+            i = j + 1
+            x = hi if i == _LAST else i * step + lo
+            lines = [(_mu(other, x), other_end, other) for _, other_end, other in lines]
+            y, y_end, line = max(lines)
+
+    # sums of mu and i·mu over the grid, each piece's from its end values and
+    # the sums of i and i² over its indices
+    total = moment = 0.0
+    for i0, i1, _, y0, y1 in pieces:
+        n = i1 - i0 + 1
+        area = n * (y0 + y1) * 0.5
+        total += area
+        moment += i0 * area + y0 * (n * (n - 1) // 2) + (y1 - y0) * (n * (2 * n - 1) / 6)
+    mu_first = pieces[0][3] if pieces[0][0] == 0 else 0.0
+    mu_last = pieces[-1][4] if pieces[-1][1] == _LAST else 0.0
+    # the trapezoid rule halves the two end points; x_i = lo + i * step
+    total -= 0.5 * (mu_first + mu_last)
+    if step * total < ZERO_AREA_TOL:
         return 0.5 * (lo + hi), True
-    window = mu[first:last]
-    np.multiply(xs[first:last], window, out=window)
-    moment = h * (float(mu.sum()) - 0.5 * (float(mu[0]) + float(mu[-1])))
-    crisp = moment / area
+    crisp = lo + step * (moment - 0.5 * _LAST * mu_last) / total
     crisp = lo if lo > crisp else crisp
-    return float(hi if hi < crisp else crisp), False
+    return hi if hi < crisp else crisp, False
 
 
 def _term_strengths(cells, n_right: int, n_left: int, angle, dist) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -198,18 +286,19 @@ def _compile(cells, right_var: LinguisticVariable, left_var: LinguisticVariable
     """``outputs(angle, dist)``: the crisp ``InferenceResult`` for the two
     inputs' degrees over the cell table ``cells[a][d] = (right, left)``
     consequent term indices, memoised on the degrees."""
-    # keyed by geometry, so equal right and left variables share one sampling
-    right, left = (_sample(v.lo, v.hi, tuple(t.mf for t in v.terms)) for v in (right_var, left_var))
+    # right and left variables that compile alike share one compiled output
+    right, left = _output(right_var), _output(left_var)
+    left = right if left == right else left
     n_right, n_left = len(right_var.terms), len(left_var.terms)
     shared = left is right
 
     # Keys compare by value, so degrees 0.0 and -0.0 share an entry: both
     # leave their cells unfired, so the result is the same.  The memo
     # holds the tables, not the rule base, so no reference cycle keeps a
-    # dropped base's sampled outputs alive.  ``_term_strengths`` and
+    # dropped base's compiled outputs alive.  ``_term_strengths`` and
     # ``_centroid`` are module globals, looked up on every miss.
     # Strengths are never -0.0 or nan, so equal tuples are equal bit for
-    # bit, and on one shared sampling they give one centroid.
+    # bit, and on one shared output they give one centroid.
     @lru_cache(maxsize=_MEMO_SIZE)
     def outputs(angle, dist) -> InferenceResult:
         rs, ls = _term_strengths(cells, n_right, n_left, angle, dist)

@@ -76,7 +76,7 @@ class RuleBase:
     @cached_property
     def compiled(self) -> Callable[[tuple[float, ...], tuple[float, ...]], InferenceResult]:
         """``compiled(angle, dist)``: the crisp ``InferenceResult`` for the
-        two inputs' degrees, memoised on them; built, with the sampled
+        two inputs' degrees, memoised on them; built, with the compiled
         outputs, on first use."""
         return _compile(self._cells, self.right_var, self.left_var)
 

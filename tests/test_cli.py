@@ -15,12 +15,12 @@ from fuzzynav.cli import CSV_HEADER, main
 ROOT = Path(__file__).resolve().parent.parent
 
 # sha256 of the trajectories ``fuzzynav compare`` writes for the benchmark
-# scenario (Python 3.11, numpy 2.4).  A speed-up must leave these bytes as
+# scenario (Python 3.11).  A speed-up must leave these bytes as
 # they are; a deliberate change to them is re-recorded here and listed.
 BENCHMARK_TRAJECTORY_SHA256 = {
     "trajectory_3.csv": "45f120cc06da4d97153dc7bd0ce6b1b2a7989bb95eb192f299452391e63f14d7",
-    "trajectory_5.csv": "e26e1b7c29d9056467fe856edcf9aa31357cdb818f0a15b54e39511cb0117abe",
-    "trajectory_7.csv": "2c0167414bee969bae8b64c8b2323a7e36eb356e23b20f67000720343a030134",
+    "trajectory_5.csv": "0bc9d3b2ecec9ae1d55e6b68d2ab21f83500c0d29523595ade4e833515dca94d",
+    "trajectory_7.csv": "9d1f077ab0ff141c3cb18ad8a1ae481754f64af1fd75b5eefac0552fe84a2523",
 }
 
 

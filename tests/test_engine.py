@@ -84,9 +84,9 @@ def per_term_strengths(rb, e_theta, e_d):
     return dict(zip(rb.right_var.labels, right)), dict(zip(rb.left_var.labels, left))
 
 
-def sampled(var):
-    """``var`` as the engine samples it: equal geometries share one sampling."""
-    return engine._sample(var.lo, var.hi, tuple(t.mf for t in var.terms))
+def compiled(var):
+    """``var`` as the engine compiles it for the centroid."""
+    return engine._output(var)
 
 
 class TestFireRules:
@@ -204,11 +204,23 @@ class TestDefuzzCentroid:
 
 
 class TestInfer:
-    def test_compiled_once_and_outputs_share_samples(self):
+    def test_compiled_once_and_outputs_share_one_compiled_form(self, monkeypatch):
         rb = builtin(7, d_max=24.41)
         assert rb.compiled is rb.compiled
-        # right and left have the same term geometry, so one sampling serves both
-        assert sampled(rb.right_var) is sampled(rb.left_var)
+        # right and left have the same term geometry, so one compiled output
+        # serves both: a miss whose two strength tuples differ defuzzifies
+        # twice, on the same object
+        outs = []
+
+        def recording(out, strengths, _centroid=engine._centroid):
+            outs.append(out)
+            return _centroid(out, strengths)
+
+        monkeypatch.setattr(engine, "_centroid", recording)
+        res = infer(rb, 0.3, 12.0)
+        assert res.v_right != res.v_left
+        assert len(outs) == 2 and outs[0] is outs[1]
+        assert outs[0] == compiled(rb.right_var) == compiled(rb.left_var)
 
     def test_rule_z_z_gives_slow_centroid_on_both(self):
         # on the (Z, Z) peaks both motors defuzzify the S shoulder; its exact
@@ -270,8 +282,8 @@ def dense_reference(rb, e_theta, e_d):
         s = min(angle[a], dist[d])
         right[r] = max(right[r], s)
         left[l] = max(left[l], s)
-    v_right, right_zero = engine._centroid(sampled(rb.right_var), right)
-    v_left, left_zero = engine._centroid(sampled(rb.left_var), left)
+    v_right, right_zero = engine._centroid(compiled(rb.right_var), right)
+    v_left, left_zero = engine._centroid(compiled(rb.left_var), left)
     return (tuple(right), tuple(left)), InferenceResult(v_right, v_left, right_zero, left_zero)
 
 
@@ -389,7 +401,7 @@ def mirrored_cases():
     degrees on builtin(3), so nothing fires and both outputs are flagged
     (``fuzzify`` never returns them on a covered universe, so they go to
     the memo directly), and straight ahead on builtin(3) with a wider left
-    range (two samplings)."""
+    range (two compiled outputs)."""
     def ahead(rb):
         return rb, fuzzify(rb.angle_var, 0.0), fuzzify(rb.distance_var, 10.0)
 
@@ -404,13 +416,13 @@ def mirrored_cases():
 
 class TestMirroredOutputs:
     @pytest.mark.parametrize("name", sorted(mirrored_cases()))
-    def test_equal_strengths_defuzzify_once_per_sampling(self, name, monkeypatch):
+    def test_equal_strengths_defuzzify_once_per_compiled_output(self, name, monkeypatch):
         rb, angle, dist = mirrored_cases()[name]
         shared = name != "left range wider than right"
-        assert (sampled(rb.left_var) is sampled(rb.right_var)) == shared
+        assert (compiled(rb.left_var) == compiled(rb.right_var)) == shared
         rs, ls = engine._term_strengths(rb._cells, len(rb.right_var.terms), len(rb.left_var.terms), angle, dist)
         assert rs == ls
-        right, left = engine._centroid(sampled(rb.right_var), rs), engine._centroid(sampled(rb.left_var), ls)
+        right, left = engine._centroid(compiled(rb.right_var), rs), engine._centroid(compiled(rb.left_var), ls)
         calls = []
 
         def counting(*args, _centroid=engine._centroid):
@@ -427,19 +439,23 @@ class TestMirroredOutputs:
 
 def full_grid_centroid(var, strengths):
     """The centroid with every term of ``var`` sampled and clipped over all
-    8001 grid points: the formula the windowed ``engine._centroid`` must
-    reproduce bit for bit."""
+    8001 points of ``np.linspace(lo, hi, 8001)`` and summed by the trapezoid
+    rule, each sum correctly rounded (``math.fsum``): the quadrature
+    ``engine._centroid`` sums in closed form.  A side too narrow to divide
+    by overflows to an infinite slope, which the clip takes to 0.0 or 1.0,
+    as ``fuzzify``'s float division does."""
     lo, hi = var.lo, var.hi
-    xs = np.linspace(lo, hi, engine._SAMPLES)
-    curves = np.vstack([tri_vec(t.mf, xs) for t in var.terms])
+    xs = np.linspace(lo, hi, 8001)
+    with np.errstate(over="ignore"):
+        curves = np.vstack([tri_vec(t.mf, xs) for t in var.terms])
     clips = np.asarray(strengths, dtype=float)
     mu = np.max(np.minimum(curves, clips[:, None]), axis=0)
-    h = (hi - lo) / (engine._SAMPLES - 1)
-    area = h * (mu.sum() - 0.5 * (mu[0] + mu[-1]))
+    h = (hi - lo) / 8000
+    area = h * (math.fsum(mu.tolist()) - 0.5 * (mu[0] + mu[-1]))
     if area < engine.ZERO_AREA_TOL:
         return 0.5 * (lo + hi), True
     xmu = xs * mu
-    moment = h * (xmu.sum() - 0.5 * (xmu[0] + xmu[-1]))
+    moment = h * (math.fsum(xmu.tolist()) - 0.5 * (xmu[0] + xmu[-1]))
     return float(min(max(moment / area, lo), hi)), False
 
 
@@ -456,7 +472,7 @@ def output_vars():
 
 def narrow_var():
     """Shoulders over [0, 2] plus a term whose support (0.10001, 0.10003)
-    falls between two grid points (step 2.5e-4), so it samples to all zeros."""
+    falls between two grid points (step 2.5e-4), so it holds no grid point."""
     return LinguisticVariable("v", 0.0, 2.0, (
         Term("lo", TriangularMF(0.0, 0.0, 2.0)),
         Term("narrow", TriangularMF(0.10001, 0.10002, 0.10003)),
@@ -464,58 +480,85 @@ def narrow_var():
     ))
 
 
-def assert_hex_equal(var, strengths):
-    got, want = engine._centroid(sampled(var), strengths), full_grid_centroid(var, strengths)
-    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), strengths
-    return got
+def narrow_side_var():
+    """builtin(3)'s right variable with M's rising side 5e-324 wide:
+    (x - 0) / 5e-324 overflows to inf, so M steps from 0.0 at x = 0 to its
+    falling side at the next grid point."""
+    var = uniform_variable("right", 0.0, 2.0, ("S", "M", "F"))
+    return replace(var, terms=(var.terms[0], Term("M", TriangularMF(0.0, 5e-324, 2.0)), var.terms[2]))
 
 
-class TestWindowedCentroid:
-    @pytest.mark.parametrize("name", sorted(output_vars()))
-    def test_seeded_strengths_are_hex_equal_to_the_full_grid(self, name):
-        var = output_vars()[name]
-        rng = np.random.default_rng(71)
+def zero_area_boundary(var):
+    """Strengths for M alone on ``var`` one ulp either side of the last one
+    the engine flags, and of the first it does not."""
+    def flagged(s):
+        return engine._centroid(compiled(var), (0.0, s, 0.0))[1]
+
+    lo, hi = 1e-15, 1e-9
+    assert flagged(lo) and not flagged(hi)
+    while math.nextafter(lo, 1.0) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if flagged(mid) else (lo, mid)
+    return [(0.0, s, 0.0) for s in (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, 1.0))]
+
+
+def centroid_cases():
+    """(variable, strength tuples) by name: seeded strengths on every output
+    of ``output_vars``; on builtin(7), nothing fired, each term alone at 1.0,
+    both shoulders and two non-adjacent terms with a gap between them; the
+    term between grid points and the narrow side, each alone and with
+    neighbours; and the zero-area boundary on builtin(3)."""
+    cases = {}
+    rng = np.random.default_rng(71)
+    for name, var in output_vars().items():
         n = len(var.terms)
-        for _ in range(300):
-            strengths = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.4)
-            assert_hex_equal(var, tuple(float(s) for s in strengths))
+        strengths = rng.uniform(0.0, 1.0, (300, n)) * (rng.uniform(size=(300, n)) < 0.4)
+        cases[f"seeded {name}"] = (var, [tuple(map(float, row)) for row in strengths])
+    var = builtin(7, d_max=24.41).right_var
+    edges = [(0.0,) * 7] + [tuple(1.0 if j == k else 0.0 for j in range(7)) for k in range(7)]
+    edges += [(0.6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3), (0.0, 0.8, 0.0, 0.0, 0.0, 0.5, 0.0)]
+    cases["builtin(7) edges"] = (var, edges)
+    mixed = [(0.0, 1.0, 0.0), (0.4, 1.0, 0.0), (0.0, 0.7, 0.2), (0.3, 0.9, 0.3), (0.0, 0.2, 0.9)]
+    cases["narrow term"] = (narrow_var(), mixed)
+    cases["narrow side"] = (narrow_side_var(), mixed)
+    var = builtin(3, d_max=24.41).right_var
+    cases["zero-area boundary"] = (var, zero_area_boundary(var))
+    return cases
 
-    def test_edge_cases_are_hex_equal_to_the_full_grid(self):
-        var = builtin(7, d_max=24.41).right_var
-        spans = sampled(var).spans
-        n = len(spans)
-        assert assert_hex_equal(var, (0.0,) * n) == (1.0, True)
-        for k in range(n):
-            assert_hex_equal(var, tuple(1.0 if j == k else 0.0 for j in range(n)))
-        # both shoulders: the window runs from index 0 through index 8000
-        assert spans[0][0] == 0 and spans[-1][1] == engine._SAMPLES
-        assert_hex_equal(var, (0.6,) + (0.0,) * (n - 2) + (0.3,))
-        # two non-adjacent terms: a run of zeros inside the window
-        assert spans[1][1] < spans[5][0]
-        assert_hex_equal(var, (0.0, 0.8, 0.0, 0.0, 0.0, 0.5, 0.0))
 
-    def test_term_narrower_than_a_grid_step_has_an_empty_span(self):
-        var = narrow_var()
-        assert sampled(var).spans[1] == (0, 0) and sampled(var).segments[1].size == 0
-        assert assert_hex_equal(var, (0.0, 1.0, 0.0)) == (1.0, True)
-        for strengths in ((0.4, 1.0, 0.0), (0.0, 0.7, 0.2), (0.3, 0.9, 0.3)):
-            assert not assert_hex_equal(var, strengths)[1]
+class TestClosedFormCentroid:
+    @pytest.mark.parametrize("name", sorted(centroid_cases()))
+    def test_matches_the_full_grid_trapezoid_rule(self, name):
+        var, cases = centroid_cases()[name]
+        out = compiled(var)
+        flags = []
+        for strengths in cases:
+            got, want = engine._centroid(out, strengths), full_grid_centroid(var, strengths)
+            assert got[1] == want[1], strengths
+            assert abs(got[0] - want[0]) <= 1e-12, strengths
+            assert math.isfinite(got[0]) and var.lo <= got[0] <= var.hi
+            flags.append(got[1])
+        if name == "zero-area boundary":
+            assert flags == [True, True, False, False]
 
-    def test_strengths_around_the_zero_area_tolerance(self):
-        var = builtin(3, d_max=24.41).right_var
-        flags = {assert_hex_equal(var, (0.0, float(s), 0.0))[1] for s in np.geomspace(1e-15, 1e-9, 61)}
-        assert flags == {True, False}
-        # bisect to the last flagged strength, then step one ulp to either side
-        lo, hi = 1e-15, 1e-9
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            lo, hi = (mid, hi) if full_grid_centroid(var, (0.0, mid, 0.0))[1] else (lo, mid)
-        for s in (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, 1.0)):
-            assert_hex_equal(var, (0.0, s, 0.0))
-        assert engine._centroid(sampled(var), (0.0, lo, 0.0))[1]
-        assert not engine._centroid(sampled(var), (0.0, hi, 0.0))[1]
+
+class TestCompiledOutput:
+    @pytest.mark.parametrize("name", sorted(output_vars()) + ["narrow side", "narrow term"])
+    def test_support_holds_exactly_the_non_zero_grid_points(self, name):
+        var = {**output_vars(), "narrow side": narrow_side_var(), "narrow term": narrow_var()}[name]
+        out = compiled(var)
+        assert (out.lo, out.hi, out.step) == (var.lo, var.hi, (var.hi - var.lo) / 8000)
+        assert [t[0] for t in out.terms] == sorted(t[0] for t in out.terms)
+        supports = {k: (first, stop) for first, stop, k, *_ in out.terms}
+        xs = np.linspace(var.lo, var.hi, 8001)
+        for k, term in enumerate(var.terms):
+            with np.errstate(over="ignore"):
+                nonzero = np.flatnonzero(tri_vec(term.mf, xs))
+            # a term with no grid point inside its support is left out
+            want = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else None
+            assert supports.get(k) == want, term
+            if want:
+                assert nonzero.size == want[1] - want[0]
 
 
 def reversed_output_terms(rb):
@@ -542,36 +585,6 @@ class TestTermOrder:
         points = zip(rng.uniform(-math.pi, math.pi, 3000).tolist(), rng.uniform(0.0, 24.41, 3000).tolist())
         for e_theta, e_d in points:
             assert hexed(infer(flipped, e_theta, e_d)) == hexed(infer(rb, e_theta, e_d)), (e_theta, e_d)
-
-
-class TestSampledSpans:
-    @pytest.mark.parametrize("name", sorted(output_vars()))
-    def test_span_holds_every_non_zero_sample_and_only_zeros_lie_outside(self, name):
-        var = output_vars()[name]
-        s = sampled(var)
-        assert len(s.spans) == len(s.segments) == len(var.terms)
-        xs = np.linspace(var.lo, var.hi, engine._SAMPLES)
-        assert s.xs.tobytes() == xs.tobytes()
-        for term, (start, stop), segment in zip(var.terms, s.spans, s.segments):
-            row = tri_vec(term.mf, xs)
-            assert 0 <= start < stop <= engine._SAMPLES
-            nonzero = np.flatnonzero(row)
-            assert start <= nonzero[0] and nonzero[-1] < stop
-            assert segment.tobytes() == row[start:stop].tobytes()
-            # exactly +0.0 outside the span, sign bit included
-            outside = np.concatenate((row[:start], row[stop:]))
-            assert outside.tobytes() == bytes(outside.nbytes)
-
-
-    def test_side_too_narrow_to_divide_by_samples_as_a_step(self):
-        # (x - 0) / 5e-324 overflows to inf; sampling it raised numpy's
-        # overflow warning, an error under this suite's filterwarnings
-        var = uniform_variable("right", 0.0, 2.0, ("S", "M", "F"))
-        var = replace(var, terms=(var.terms[0], Term("M", TriangularMF(0.0, 5e-324, 2.0)), var.terms[2]))
-        s = sampled(var)
-        xs = np.linspace(0.0, 2.0, engine._SAMPLES)
-        assert s.spans[1] == (1, engine._SAMPLES - 1)
-        assert s.segments[1].tolist() == [fuzzify(var, x)[1] for x in xs[1:-1].tolist()]
 
 
 class TestErrorPaths:

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import subprocess
 import sys
@@ -208,16 +209,14 @@ class TestTableDrivenFuzzify:
             assert var.clamp(x).hex() == min(max(x, var.lo), var.hi).hex(), x
 
     def test_membership_imports_no_numpy(self):
-        # membership.py and the modules it imports load under a bare package,
-        # skipping the package __init__, which imports the engine's numpy
+        # with numpy unimportable, the package and membership.py load and fuzzify
+        src = os.path.dirname(os.path.dirname(membership.__file__))
         code = f"""
-import importlib, os, sys, types
+import sys
 sys.modules["numpy"] = None
-pkg = types.ModuleType("fuzzynav")
-pkg.__path__ = [os.path.dirname({membership.__file__!r})]
-sys.modules["fuzzynav"] = pkg
-mod = importlib.import_module("fuzzynav.membership")
-print(mod.fuzzify(mod.uniform_variable("d", 0.0, 2.0, ("Z", "M", "F")), 1.5))
+sys.path.insert(0, {src!r})
+from fuzzynav import membership
+print(membership.fuzzify(membership.uniform_variable("d", 0.0, 2.0, ("Z", "M", "F")), 1.5))
 """
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr

@@ -1,8 +1,11 @@
+import inspect
 import json
 import math
 import os
 import re
-from dataclasses import asdict, fields, replace
+import subprocess
+import sys
+from dataclasses import asdict, astuple, fields, replace
 
 import pytest
 
@@ -394,3 +397,19 @@ class TestBenchmarkScenario:
         assert math.isclose(
             math.atan2(sc.goal.y, sc.goal.x), math.pi / 4, abs_tol=1e-12
         )
+
+    def test_runs_with_numpy_unimportable(self):
+        # the package needs no numpy at run time: a fresh interpreter that
+        # cannot import it runs the 3-MF benchmark to the same metrics
+        src = os.path.dirname(os.path.dirname(inspect.getfile(run)))
+        code = f"""
+import sys
+sys.modules["numpy"] = None
+sys.path.insert(0, {src!r})
+from dataclasses import astuple
+from fuzzynav import benchmark_scenario, run
+print(repr(astuple(run(benchmark_scenario("3"))[1])))
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == repr(astuple(run(benchmark_scenario("3"))[1]))

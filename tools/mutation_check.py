@@ -12,11 +12,11 @@ suite that already fails cannot pass for a kill.
 
 The mutants pin the comparisons the docs and docstrings state (inclusive
 or strict ties), the run's time and tick budgets, the distance floor of a
-built-in, the centroid window's widening to the left, the inclusive ends
-of the magnitude bound and the size floor, a built-in's angle band of
-(0, pi], the strict overlap a variable's terms need to cover their
-universe, the order a render writes terms and rules in, and the JSON name
-of a rejected scenario's type.  ``EQUIVALENT`` lists mutants that no test
+built-in, the order of support the centroid's scan needs and the strength
+a term fires above, the inclusive ends of the magnitude bound and the size
+floor, a built-in's angle band of (0, pi], the strict overlap a variable's
+terms need to cover their universe, the order a render writes terms and
+rules in, and the JSON name of a rejected scenario's type.  ``EQUIVALENT`` lists mutants that no test
 can kill, each with the reason; they are not run.
 
 Exits non-zero if any mutant survives, if any anchor is missing or occurs
@@ -86,10 +86,15 @@ MUTANTS = (
     Mutant(RULEBASE, "if not 0 < angle_band <= math.pi:",
            "if not 0 < angle_band < math.pi:", ("tests/test_rulebase.py",)),
     Mutant(MEMBERSHIP, "if start < reach:", "if start <= reach:", ("tests/test_membership.py",)),
-    # every built-in lists its output terms in peak order, so only a rule
-    # base listing them otherwise takes this branch
-    Mutant(ENGINE, "                if start < first:\n                    first = start\n", "",
-           ("tests/test_engine.py",)),
+    # the centroid's scan stops at the first fired term that starts past the
+    # interval, so it needs the terms in order of support; every built-in
+    # lists its output terms in that order, so only a rule base listing them
+    # otherwise (reversed) needs the sort
+    Mutant(ENGINE, "tuple(sorted(terms))", "tuple(terms)", ("tests/test_engine.py",)),
+    # a term at strength 0.0 does not fire: it would add cuts but no line, and
+    # with nothing above 0.0 the aggregate would have no piece
+    Mutant(ENGINE, "        if s > 0.0:\n            # [first, up) rises",
+           "        if s >= 0.0:\n            # [first, up) rises", ("tests/test_engine.py",)),
     # a render writes a base as stored: sorting either its terms or its rules
     # breaks the identity on a permuted file
     Mutant(RULEFORMAT, "for t in var.terms:", "for t in sorted(var.terms, key=lambda t: t.mf.peak):",
@@ -99,13 +104,10 @@ MUTANTS = (
 )
 
 EQUIVALENT = (
-    Equivalent(ENGINE, "if area < ZERO_AREA_TOL:", "if area <= ZERO_AREA_TOL:",
+    Equivalent(ENGINE, "if step * total < ZERO_AREA_TOL:", "if step * total <= ZERO_AREA_TOL:",
                "no input is known whose area equals ZERO_AREA_TOL exactly: where builtin(3)'s flag "
-               "flips, one float step of strength moves the area from below it to above it"),
-    Equivalent(ENGINE, "        if s > 0.0:\n            start, stop = spans[k]",
-               "        if s >= 0.0:\n            start, stop = spans[k]",
-               "a term at strength 0.0 clips to zeros, which leave the max-aggregate unchanged, "
-               "and widening the window over zeros adds only zero moment terms"),
+               "flips, one float step of strength moves the area from 1e-12 less one ulp to 1e-12 "
+               "plus one ulp"),
     Equivalent(ENGINE, "_MEMO_SIZE = 16", "_MEMO_SIZE = 1",
                "the memo returns what recomputing would, so its size changes only how often it hits"),
 )
