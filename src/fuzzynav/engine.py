@@ -7,22 +7,22 @@ rule on a fixed 8001-point grid).  A rule base resolves its rules into a
 cell table, from each (angle term, distance term) cell to its rule's
 consequent term pair, when it is built.  On its first inference each
 output variable is compiled: its grid step, and per term its breakpoints
-and the grid indices of its support.  The grid itself is never built.  A
-clipped term is linear on each of at most three runs of grid indices, so
-the max of the fired clips is linear between their run ends and the
-points where two of them cross, and the trapezoid sums over each linear
-piece are taken in closed form from its two end values.  The result is
-the 8001-point trapezoid rule to within a few ulps, in pure Python.  The
-min-AND and the final clamp are conditional expressions making the
-comparisons of ``min`` and ``max``, so they equal the builtins, signed
-zeros included, without their calls.
+and the grid indices of its support, found by ``bisect``.  The grid
+itself is never built.  A clipped term is linear on each of at most three
+runs of grid indices, so the max of the fired clips is linear between
+their run ends and the points where two of them cross, and the trapezoid
+sums over each linear piece are taken in closed form from its two end
+values.  The result is the 8001-point trapezoid rule to within a few ulps,
+in pure Python.  The min-AND and the final clamp are conditional
+expressions making the comparisons of ``min`` and ``max``, so they equal
+the builtins, signed zeros included, without their calls.
 When the two outputs compile alike and their per-term strengths are
 equal (a robot heading straight at the goal on a mirrored rule grid), one
 centroid serves both.  Only the cells whose two input degrees are both
 non-zero fire (at most four for a 50%-overlap partition), and each
-rule base keeps its last few crisp results keyed by the two degree
-tuples, so a repeated degree pair (a robot on a saturated plateau of both
-inputs) reuses its result.
+rule base keeps its last crisp result keyed by the two degree tuples, so
+a tick that repeats the previous tick's degrees (a robot on a saturated
+plateau of both inputs) reuses it.
 All values are immutable, every function is pure and the result memo is a
 thread-safe ``functools.lru_cache``, so a rule base can be shared freely
 across threads.
@@ -34,6 +34,7 @@ are private (``_term_strengths`` fires and takes the per-term max,
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -53,11 +54,11 @@ __all__ = ["InferenceResult", "infer", "ZERO_AREA_TOL"]
 _SAMPLES = 8001
 _LAST = _SAMPLES - 1
 
-# Crisp results each rule base keeps, least recently used first out.
-# A tick whose heading error lies past the outermost angle peak and whose
-# distance is clamped at the universe edge repeats the previous tick's
-# degrees, so a few entries catch the plateaus of a closed-loop run.
-_MEMO_SIZE = 16
+# Crisp results each rule base keeps: the last.  A tick whose heading error
+# lies past the outermost angle peak and whose distance is clamped at the
+# universe edge repeats the previous tick's degrees; measured on closed
+# loops, dense rules files and scatter, every hit repeats the call before.
+_MEMO_SIZE = 1
 
 # Below this aggregated area the centroid is numerically meaningless; the
 # universe midpoint is returned and flagged instead.
@@ -78,9 +79,10 @@ class _Output(NamedTuple):
     step and, ordered by ``first``, one ``(first, stop, k, left, peak -
     left, right, right - peak)`` per term with a grid point inside its
     support.  ``k`` is the term's index and ``[first, stop)`` the grid
-    indices of its support: from the first point past ``left`` (0 for a
-    left shoulder) to the first point at or past ``right`` (``_SAMPLES``
-    for a right shoulder).  A shoulder's flat side has width 0.0.
+    indices of its support, as ``bisect`` finds them: from the first point
+    past ``left`` (0 for a left shoulder) to the first point at or past
+    ``right`` (``_SAMPLES`` for a right shoulder).  A shoulder's flat side
+    has width 0.0.
     """
 
     lo: float
@@ -90,28 +92,19 @@ class _Output(NamedTuple):
 
 
 def _output(var: LinguisticVariable) -> _Output:
-    """``var`` compiled for ``_centroid``."""
+    """``var`` compiled for ``_centroid``; the grid points never decrease,
+    so ``bisect`` finds each support's ends by exact comparisons."""
     lo, hi = var.lo, var.hi
     step = (hi - lo) / _LAST
+    grid = range(_SAMPLES)
 
-    def past(x: float, strict: bool) -> int:
-        # the first grid index whose point lies past x, or at it unless strict;
-        # the quotient lands within a point of it, and exact comparisons settle it
-        def beyond(i):
-            xi = hi if i == _LAST else i * step + lo
-            return xi > x if strict else xi >= x
-
-        i = min(max(math.floor((x - lo) / step), 0), _SAMPLES)
-        while i > 0 and beyond(i - 1):
-            i -= 1
-        while i < _SAMPLES and not beyond(i):
-            i += 1
-        return i
+    def x(i):
+        return hi if i == _LAST else i * step + lo
 
     terms = []
     for k, (left, rise, right, fall, left_shoulder, right_shoulder) in enumerate(var._table):
-        first = 0 if left_shoulder else past(left, True)
-        stop = _SAMPLES if right_shoulder else past(right, False)
+        first = 0 if left_shoulder else bisect_right(grid, left, key=x)
+        stop = _SAMPLES if right_shoulder else bisect_left(grid, right, key=x)
         if first < stop:
             terms.append((first, stop, k, left, rise, right, fall))
     return _Output(lo, hi, step, tuple(sorted(terms)))

@@ -187,7 +187,8 @@ def uniform_variable(
     the span.
 
     Raises ValueError naming the bound when ``lo`` or ``hi`` is not finite
-    or exceeds 1e6 in magnitude.
+    or exceeds 1e6 in magnitude, and naming the variable and the span when
+    the span is too narrow for its peaks to strictly increase.
     """
     for field, value in (("lo", lo), ("hi", hi)):
         require_finite(f"variable '{name}': {field}", value, bounded=True)
@@ -200,6 +201,9 @@ def uniform_variable(
     last = len(labels) - 1
     step = (b - a) / last
     peaks = [a + i * step for i in range(last)] + [b]
+    if any(q <= p for p, q in zip(peaks, peaks[1:])):
+        raise ValueError(f"variable '{name}': peak span [{span_lo}, {span_hi}] is too narrow for "
+                         f"{last + 1} strictly increasing peaks")
     terms = []
     for i, label in enumerate(labels):
         left = peaks[i] if i == 0 else peaks[i - 1]

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -352,10 +353,23 @@ class TestUniformPeaksMatchLinspace:
 
     def test_span_whose_step_underflows_is_rejected(self):
         # 1e-323 / 6 rounds to 0.0, where np.linspace switches formula;
-        # both peak lists repeat a peak, so a triangle has no support
+        # both peak lists repeat a peak, so a triangle would have no support
         labels = tuple(f"T{i}" for i in range(7))
-        with pytest.raises(ValueError, match="^triangle must have nonzero support$"):
+        with pytest.raises(ValueError, match=r"^variable 'v': peak span \[0\.0, 1e-323\] is too narrow "
+                                             r"for 7 strictly increasing peaks$"):
             uniform_variable("v", 0.0, 1.0, labels, peak_span=(0.0, 1e-323))
         p = [float(x) for x in np.linspace(0.0, 1e-323, 7)]
         with pytest.raises(ValueError, match="^triangle must have nonzero support$"):
             TriangularMF(p[0], p[0], p[1])
+
+    @pytest.mark.parametrize("make, message", [
+        # the rounded step overshoots: the sixth peak lies past the span's end
+        (lambda: builtin(7, angle_band=1e-323), "'angle': peak span [-1e-323, 1e-323] is too narrow for 7 "),
+        # the rounded step repeats a peak
+        (lambda: builtin(5, angle_band=5e-324), "'angle': peak span [-5e-324, 5e-324] is too narrow for 5 "),
+        (lambda: uniform_variable("v", 0.0, 1.0, ("a", "b", "c", "d"), peak_span=(0.0, 5e-324)),
+         "'v': peak span [0.0, 5e-324] is too narrow for 4 "),
+    ])
+    def test_span_too_narrow_for_its_peaks_is_named(self, make, message):
+        with pytest.raises(ValueError, match=f"^variable {re.escape(message)}strictly increasing peaks$"):
+            make()

@@ -22,6 +22,7 @@ from fuzzynav import (
     run,
     scenario_from_dict,
 )
+from fuzzynav import engine
 from fuzzynav.rulebase import BUILTIN_SIZES
 from fuzzynav.simulation import BUILTIN_CONTROLLERS, MAX_TICKS, initial_distance, resolve_controller
 
@@ -387,6 +388,36 @@ def test_numerically_sensitive_runs_are_pinned(case):
     assert m.reached == reached
     assert len(traj) == samples
     assert abs(m.path_length - path_length) <= 1e-9
+
+
+# The engine's work on a closed loop: (controller, straight behind at 3 m)
+# -> (ticks, rule firings, centroids).  The paper runs fire once per tick;
+# a memo that stopped hitting on the plateau ticks of a turn on the spot
+# would fire 59/59/62 times behind, and an output pair defuzzified twice
+# where one centroid serves both would take 526/654/744 centroids ahead.
+PINNED_WORK = {
+    ("3", False): (263, 263, 447),
+    ("5", False): (327, 327, 439),
+    ("7", False): (372, 372, 585),
+    ("3", True): (59, 36, 61),
+    ("5", True): (59, 41, 67),
+    ("7", True): (62, 45, 80),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_WORK, ids=lambda c: f"{c[0]}mf-{'behind' if c[1] else 'paper'}")
+def test_engine_work_per_run_is_pinned(case, monkeypatch):
+    controller, behind = case
+    calls = {"_term_strengths": 0, "_centroid": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(engine, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(engine, name, counting)
+    sc = benchmark_scenario(controller, bearing=math.pi, distance=3.0) if behind else benchmark_scenario(controller)
+    traj, _ = run(sc)
+    assert (len(traj) - 1, calls["_term_strengths"], calls["_centroid"]) == PINNED_WORK[case]
 
 
 class TestBenchmarkScenario:

@@ -13,11 +13,13 @@ suite that already fails cannot pass for a kill.
 The mutants pin the comparisons the docs and docstrings state (inclusive
 or strict ties), the run's time and tick budgets, the distance floor of a
 built-in, the order of support the centroid's scan needs and the strength
-a term fires above, the inclusive ends of the magnitude bound and the size
+a term fires above, the inference memo and the one centroid shared by
+mirrored outputs, the inclusive ends of the magnitude bound and the size
 floor, a built-in's angle band of (0, pi], the strict overlap a variable's
-terms need to cover their universe, the order a render writes terms and
-rules in, and the JSON name of a rejected scenario's type.  ``EQUIVALENT`` lists mutants that no test
-can kill, each with the reason; they are not run.
+terms need to cover their universe and the strictly increasing peaks of a
+uniform partition, the order a render writes terms and rules in, and the
+JSON name of a rejected scenario's type.  ``EQUIVALENT`` lists mutants that
+no test can kill, each with the reason; they are not run.
 
 Exits non-zero if any mutant survives, if any anchor is missing or occurs
 more than once, or if pytest does not run cleanly.  Uses only the standard
@@ -101,6 +103,13 @@ MUTANTS = (
            ("tests/test_ruleformat.py",)),
     Mutant(RULEFORMAT, "for r in rb.rules]", "for r in sorted(rb.rules)]", ("tests/test_ruleformat.py",)),
     Mutant(SIMULATION, 'bool: "boolean", ', "", ("tests/test_cli.py",)),
+    # a memo turned off, or an output pair defuzzified twice where one
+    # centroid serves both, leaves every result as it is and adds work
+    Mutant(ENGINE, "_MEMO_SIZE = 1", "_MEMO_SIZE = 0", ("tests/test_engine.py", "tests/test_simulation.py")),
+    Mutant(ENGINE, "(v_right, right_zero) if shared and ls == rs else _centroid(left, ls)", "_centroid(left, ls)",
+           ("tests/test_engine.py", "tests/test_simulation.py")),
+    Mutant(MEMBERSHIP, "if any(q <= p for p, q in zip(peaks, peaks[1:])):",
+           "if any(q < p for p, q in zip(peaks, peaks[1:])):", ("tests/test_membership.py",)),
 )
 
 EQUIVALENT = (
@@ -108,8 +117,6 @@ EQUIVALENT = (
                "no input is known whose area equals ZERO_AREA_TOL exactly: where builtin(3)'s flag "
                "flips, one float step of strength moves the area from 1e-12 less one ulp to 1e-12 "
                "plus one ulp"),
-    Equivalent(ENGINE, "_MEMO_SIZE = 16", "_MEMO_SIZE = 1",
-               "the memo returns what recomputing would, so its size changes only how often it hits"),
 )
 
 
