@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 
 from .rulebase import builtin, BUILTIN_SIZES
 from .ruleformat import RuleDefinitionError, parse_rulebase, render_rulebase
@@ -170,6 +171,7 @@ def cmd_export_rules(size: str, out_path: str, quiet: bool = False) -> int:
     return EXIT_OK
 
 
+@cache  # one per process: parsing keeps no state in the parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fuzzynav", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -186,17 +186,19 @@ def uniform_variable(
     everywhere inside the universe, including any saturated zone outside
     the span.
 
-    Raises ValueError naming the bound when ``lo`` or ``hi`` is not finite
-    or exceeds 1e6 in magnitude, and naming the variable and the span when
-    the span is too narrow for its peaks to strictly increase.
+    Raises ValueError, starting ``variable '<name>': ``, for a bound ``lo``
+    or ``hi`` that is not finite or exceeds 1e6 in magnitude, for fewer
+    than two labels, and for a span that does not lie within the universe
+    or is too narrow for its peaks to strictly increase.
     """
     for field, value in (("lo", lo), ("hi", hi)):
         require_finite(f"variable '{name}': {field}", value, bounded=True)
     if len(labels) < 2:
-        raise ValueError("uniform partition needs at least two labels")
+        raise ValueError(f"variable '{name}': uniform partition needs at least two labels")
     span_lo, span_hi = peak_span if peak_span is not None else (lo, hi)
     if not (lo <= span_lo < span_hi <= hi):
-        raise ValueError(f"peak span [{span_lo}, {span_hi}] must lie within the universe [{lo}, {hi}]")
+        raise ValueError(f"variable '{name}': peak span [{span_lo}, {span_hi}] must lie within the "
+                         f"universe [{lo}, {hi}]")
     a, b = float(span_lo), float(span_hi)
     last = len(labels) - 1
     step = (b - a) / last

@@ -324,6 +324,36 @@ class TestUsageErrors:
         assert excinfo.value.code == 1
 
 
+class TestOneProcess:
+    def test_commands_in_sequence_behave_as_alone(self, tmp_path, capsys, monkeypatch):
+        # one parser serves every call in a process: a usage error, then
+        # validate, then run give the exit code and output each gives in a
+        # fresh interpreter
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width in both
+        rules = tmp_path / "five.rules"
+        rules.write_text(render_rulebase(builtin(5)), encoding="utf-8")
+        scenario = write_benchmark_scenario(tmp_path)
+        commands = (["run", "--out", str(tmp_path / "u")], ["validate", str(rules)],
+                    ["run", "--scenario", str(scenario), "--controller", str(rules), "--out", str(tmp_path / "r")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        alone = []
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "fuzzynav.cli", *argv],
+                                  capture_output=True, text=True, timeout=60, env=env)
+            alone.append((proc.returncode, proc.stdout, proc.stderr))
+        together = []
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            together.append((code, *capsys.readouterr()))
+        assert together == alone
+        assert [code for code, _, _ in alone] == [1, 0, 0]
+        assert alone[0][2].startswith("usage: fuzzynav run [-h] --scenario SCENARIO")
+        assert alone[0][2].endswith("fuzzynav run: error: the following arguments are required: --scenario\n")
+
+
 class TestCompareExitCodes:
     def test_not_all_reached_exits_2(self, tmp_path, capsys):
         sc = write_benchmark_scenario(tmp_path, max_time=1.0)

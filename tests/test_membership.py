@@ -302,11 +302,12 @@ class TestUniformVariable:
         assert sum(fuzzify(var, -2.0)) == 1.0
 
     def test_rejects_fewer_than_two_labels(self):
-        with pytest.raises(ValueError, match="^uniform partition needs at least two labels$"):
+        with pytest.raises(ValueError, match="^variable 'v': uniform partition needs at least two labels$"):
             uniform_variable("v", 0.0, 1.0, ("a",))
 
     def test_rejects_bad_span(self):
-        with pytest.raises(ValueError, match="peak span"):
+        message = "variable 'a': peak span [-0.5, 0.5] must lie within the universe [0.0, 1.0]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             uniform_variable("a", 0.0, 1.0, ("x", "y"), peak_span=(-0.5, 0.5))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -163,6 +163,27 @@ class TestControllers:
         with pytest.raises(ValueError, match="3, 5, 7"):
             resolve_controller(sc)
 
+    @pytest.mark.parametrize("name", BUILTIN_CONTROLLERS)
+    def test_runs_share_one_builtin_per_key(self, name):
+        sc = benchmark_scenario(name)
+        assert resolve_controller(sc) is resolve_controller(replace(sc))
+        assert builtin(int(name), d_max=initial_distance(sc)) is not builtin(int(name), d_max=initial_distance(sc))
+
+    @pytest.mark.parametrize("name", BUILTIN_CONTROLLERS)
+    def test_keys_an_ulp_or_a_v_max_apart_share_no_builtin(self, name):
+        # 3.0 and the next float up are distinct distance universes, as is a slower robot
+        far = math.nextafter(3.0, 4.0)
+        keys = ((3.0, 2.0), (far, 2.0), (3.0, 1.5))
+        scenarios = [Scenario(Pose(0.0, 0.0, 0.5), Goal(d, 0.0), params=RobotParams(v_max=v), controller=name)
+                     for d, v in keys]
+        resolved = [resolve_controller(sc) for sc in scenarios]
+        assert len({id(rb) for rb in resolved}) == 3
+        for rb, (d, v) in zip(resolved, keys):
+            assert (rb.distance_var.hi, rb.right_var.hi, rb.left_var.hi) == (d, v, v)
+        for sc, (d, v) in [*zip(scenarios, keys)] * 2:  # shared bases, run alternately
+            fresh = replace(sc, controller=builtin(int(name), d_max=d, v_max=v))
+            assert repr(run(sc)) == repr(run(fresh))
+
     def test_controller_from_rules_file(self, tmp_path):
         from fuzzynav import render_rulebase
 
@@ -416,8 +437,14 @@ def test_engine_work_per_run_is_pinned(case, monkeypatch):
 
         monkeypatch.setattr(engine, name, counting)
     sc = benchmark_scenario(controller, bearing=math.pi, distance=3.0) if behind else benchmark_scenario(controller)
-    traj, _ = run(sc)
-    assert (len(traj) - 1, calls["_term_strengths"], calls["_centroid"]) == PINNED_WORK[case]
+    # the second run reuses the first's built-in and memo, and does the same work
+    runs = []
+    for _ in range(2):
+        traj, _ = run(sc)
+        runs.append((repr(traj), len(traj) - 1, calls["_term_strengths"], calls["_centroid"]))
+        calls.update(dict.fromkeys(calls, 0))
+    assert runs[0] == runs[1]
+    assert runs[0][1:] == PINNED_WORK[case]
 
 
 class TestBenchmarkScenario:

@@ -14,9 +14,10 @@ The mutants pin the comparisons the docs and docstrings state (inclusive
 or strict ties), the run's time and tick budgets, the distance floor of a
 built-in, the order of support the centroid's scan needs and the strength
 a term fires above, the inference memo and the one centroid shared by
-mirrored outputs, the inclusive ends of the magnitude bound and the size
-floor, a built-in's angle band of (0, pi], the strict overlap a variable's
-terms need to cover their universe and the strictly increasing peaks of a
+mirrored outputs, the built-in rule bases that runs share and their keys,
+the inclusive ends of the magnitude bound and the size floor, a
+built-in's angle band of (0, pi], the strict overlap a variable's terms
+need to cover their universe and the strictly increasing peaks of a
 uniform partition, the order a render writes terms and rules in, and the
 JSON name of a rejected scenario's type.  ``EQUIVALENT`` lists mutants that
 no test can kill, each with the reason; they are not run.
@@ -110,6 +111,11 @@ MUTANTS = (
            ("tests/test_engine.py", "tests/test_simulation.py")),
     Mutant(MEMBERSHIP, "if any(q <= p for p, q in zip(peaks, peaks[1:])):",
            "if any(q < p for p, q in zip(peaks, peaks[1:])):", ("tests/test_membership.py",)),
+    # runs share one built-in per key: a cache turned off builds one per run,
+    # and a key whose v_max the miss path drops serves the default universe
+    Mutant(SIMULATION, "@lru_cache(maxsize=32)", "@lru_cache(maxsize=0)", ("tests/test_simulation.py",)),
+    Mutant(SIMULATION, "builtin(size, d_max=d_max, v_max=v_max)", "builtin(size, d_max=d_max)",
+           ("tests/test_simulation.py",)),
 )
 
 EQUIVALENT = (
