@@ -60,18 +60,16 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
+# One trajectory row: each ``%.9g`` field writes the bytes of ``_fmt``.
+_CSV_ROW = ",".join(["%.9g"] * 8)
+
+
 def _write_trajectory_csv(path: str, trajectory: tuple[TrajectorySample, ...]):
     lines = [CSV_HEADER]
-    for s in trajectory:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    s.t, s.pose.x, s.pose.y, s.pose.theta,
-                    s.errors.e_d, s.errors.e_theta, s.wheels.v_l, s.wheels.v_r,
-                )
-            )
-        )
+    lines += [
+        _CSV_ROW % (s.t, s.pose.x, s.pose.y, s.pose.theta, s.errors.e_d, s.errors.e_theta, s.wheels.v_l, s.wheels.v_r)
+        for s in trajectory
+    ]
     _write_text(path, "\n".join(lines) + "\n")
 
 

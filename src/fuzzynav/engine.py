@@ -13,9 +13,13 @@ runs of grid indices, so the max of the fired clips is linear between
 their run ends and the points where two of them cross, and the trapezoid
 sums over each linear piece are taken in closed form from its two end
 values.  The result is the 8001-point trapezoid rule to within a few ulps,
-in pure Python.  The min-AND and the final clamp are conditional
-expressions making the comparisons of ``min`` and ``max``, so they equal
-the builtins, signed zeros included, without their calls.
+in pure Python.  The pieces come from an upper envelope: the fired clips
+are inserted one at a time, strongest first, into the pieces built so
+far, so the work follows the aggregate's pieces rather than the fired
+terms on every interval between run ends, however deep the terms overlap.
+The min-AND and the final clamp are conditional expressions making the
+comparisons of ``min`` and ``max``, so they equal the builtins, signed
+zeros included, without their calls.
 When the two outputs compile alike and their per-term strengths are
 equal (a robot heading straight at the goal on a mirrored rule grid), one
 centroid serves both.  Only the cells whose two input degrees are both
@@ -76,13 +80,13 @@ class InferenceResult(NamedTuple):
 
 class _Output(NamedTuple):
     """An output variable compiled for ``_centroid``: its universe, the grid
-    step and, ordered by ``first``, one ``(first, stop, k, left, peak -
-    left, right, right - peak)`` per term with a grid point inside its
-    support.  ``k`` is the term's index and ``[first, stop)`` the grid
-    indices of its support, as ``bisect`` finds them: from the first point
-    past ``left`` (0 for a left shoulder) to the first point at or past
-    ``right`` (``_SAMPLES`` for a right shoulder).  A shoulder's flat side
-    has width 0.0.
+    step and, in listing order, one ``(first, stop, k, left, peak - left,
+    right, right - peak)`` per term with a grid point inside its support.
+    ``k`` is the term's index and ``[first, stop)`` the grid indices of its
+    support, as ``bisect`` finds them: from the first point past ``left``
+    (0 for a left shoulder) to the first point at or past ``right``
+    (``_SAMPLES`` for a right shoulder).  A shoulder's flat side has width
+    0.0.
     """
 
     lo: float
@@ -107,17 +111,7 @@ def _output(var: LinguisticVariable) -> _Output:
         stop = _SAMPLES if right_shoulder else bisect_left(grid, right, key=x)
         if first < stop:
             terms.append((first, stop, k, left, rise, right, fall))
-    return _Output(lo, hi, step, tuple(sorted(terms)))
-
-
-def _mu(line: tuple[float, float, float], x: float) -> float:
-    """The line ``(c, w, s)`` at ``x``: ``min((x - c) / w, s)``, or ``s``
-    where ``w`` is 0.0."""
-    c, w, s = line
-    if not w:
-        return s
-    y = (x - c) / w
-    return s if y > s else y
+    return _Output(lo, hi, step, tuple(terms))
 
 
 def _centroid(out: _Output, strengths) -> tuple[float, bool]:
@@ -134,22 +128,15 @@ def _centroid(out: _Output, strengths) -> tuple[float, bool]:
     side meets the strength, and each side's value is capped at it, so an
     estimate one point off moves the result by an ulp at most; the
     support's ends are exact, so a side narrower than a grid step keeps
-    its foot at 0.0, as the sampled curve does.  Between consecutive run
-    ends ("cuts") every fired clip is one line.  There the aggregate
-    follows the line highest at the interval's first point, up to the last
-    point before a line that ends higher crosses it, and so on.  Each
-    piece along one line adds its sums of mu and i·mu from its two end
-    values.  Which line is on top is decided by values alone, so the order
-    in which the terms are listed does not reach the result; the terms are
-    scanned in order of ``first`` only so the scan can stop at the first
-    term that starts past the interval.
+    its foot at 0.0, as the sampled curve does.  ``_envelope_pieces`` cuts
+    the aggregate into pieces, each a run of grid indices along one line,
+    and each piece adds its sums of mu and i·mu from its two end values.
 
     The clamp to the universe makes the comparisons of ``min(max(c, lo),
     hi)``.
     """
     lo, hi, step, terms = out
     fired = []
-    cuts = set()
     for first, stop, k, left, rise, right, fall in terms:
         s = strengths[k]
         if s > 0.0:
@@ -167,68 +154,9 @@ def _centroid(out: _Output, strengths) -> tuple[float, bool]:
             # each run's line is (c, w, s); (x - right) / -fall is
             # (right - x) / fall bit for bit
             fired.append((first, up, down, stop, (left, rise, s), (0.0, 0.0, s), (right, -fall, s)))
-            cuts.update((first, up, down, stop))
     if not fired:
         return 0.5 * (lo + hi), True
-
-    # the aggregate, left to right: [first index, last index, line, mu at
-    # first, mu at last] per piece along one line
-    pieces = []
-    cuts = sorted(cuts)
-    for p, q in zip(cuts, cuts[1:]):
-        end = q - 1
-        xp = hi if p == _LAST else p * step + lo
-        xe = hi if end == _LAST else end * step + lo
-        # only the highest plateau, and the sides clipped above it, can be
-        # on top: (value at p, value at end, line) for each of them
-        level = 0.0
-        sides = []
-        for first, up, down, stop, rising, flat, falling in fired:
-            if first > p:
-                break
-            if p < stop:
-                if p < up:
-                    sides.append(rising)
-                elif p < down:
-                    if flat[2] > level:
-                        level = flat[2]
-                        lines = [(level, level, flat)]
-                else:
-                    sides.append(falling)
-        if not level:
-            lines = []
-        for line in sides:
-            c, w, s = line
-            if s > level:
-                y = (xp - c) / w
-                y_end = (xe - c) / w
-                lines.append((s if y > s else y, s if y_end > s else y_end, line))
-        if not lines:
-            continue
-        # on top from p: the highest line there, of equal ones the highest at end
-        y, y_end, line = max(lines) if len(lines) > 1 else lines[0]
-        i = p
-        while True:
-            # it holds up to the last point before a line that ends higher
-            # crosses it
-            j = end
-            for other_y, other_end, _ in lines:
-                if other_end > y_end:
-                    gap = y - other_y
-                    x = i + int(gap / (gap + other_end - y_end) * (end - i))
-                    j = x if x < j else j
-            y_j = y_end if j == end else _mu(line, hi if j == _LAST else j * step + lo)
-            if pieces and pieces[-1][2] == line and pieces[-1][1] == i - 1:
-                pieces[-1][1] = j
-                pieces[-1][4] = y_j
-            else:
-                pieces.append([i, j, line, y, y_j])
-            if j == end:
-                break
-            i = j + 1
-            x = hi if i == _LAST else i * step + lo
-            lines = [(_mu(other, x), other_end, other) for _, other_end, other in lines]
-            y, y_end, line = max(lines)
+    pieces = _envelope_pieces(fired, lo, hi, step)
 
     # sums of mu and i·mu over the grid, each piece's from its end values and
     # the sums of i and i² over its indices
@@ -247,6 +175,146 @@ def _centroid(out: _Output, strengths) -> tuple[float, bool]:
     crisp = lo + step * (moment - 0.5 * _LAST * mu_last) / total
     crisp = lo if lo > crisp else crisp
     return hi if hi < crisp else crisp, False
+
+
+def _envelope_pieces(fired, lo, hi, step) -> list[list]:
+    """The max of the ``fired`` clips, left to right, as ``[first index, last
+    index, line, mu at first, mu at last]`` per piece along one line, built
+    as an upper envelope.
+
+    Each clip's rise, plateau and fall runs are inserted once into the
+    pieces built so far, the strongest clip first; nothing assumes an order
+    of the supports.  Clips of equal strength go in the order of their runs
+    and lines, so which one owns a stretch where they tie, and with it the
+    pieces' bits, does not depend on the order the terms are listed in.  A
+    run and each piece it meets are one line each over their overlap, so
+    the run wins a prefix, a suffix, all or none of it.
+    The two lines' end values settle most overlaps; the rest are settled by
+    the values at the overlap's two ends and, where those disagree, one
+    interpolated crossing, checked at its two neighbouring grid points.
+    Where no piece lies the aggregate is 0.0, so the run wins, and a run
+    that wins nothing leaves the pieces as they are.
+    """
+    def at(line, i):
+        c, w, s = line
+        if not w:
+            return s
+        y = ((hi if i == _LAST else i * step + lo) - c) / w
+        return s if y > s else y
+
+    # the last piece is a sentinel past the grid, so no walk runs off the end
+    env = [[_SAMPLES, _SAMPLES, None, 0.0, 0.0]]
+    # strongest first, so that most later runs lie below the pieces they meet
+    clips = sorted(fired, key=lambda clip: (clip[5][2], clip), reverse=True)
+    for first, up, down, stop, rising, flat, falling in clips:
+        k = 0
+        for a, b, line in ((first, up - 1, rising), (up, down - 1, flat), (down, stop - 1, falling)):
+            if a > b:
+                continue
+            c, w, s = line
+            while env[k][1] < a:
+                k += 1
+            if w:
+                ya = ((hi if a == _LAST else a * step + lo) - c) / w
+                ya = s if ya > s else ya
+                yb = ((hi if b == _LAST else b * step + lo) - c) / w
+                yb = s if yb > s else yb
+                low, high = (ya, yb) if ya < yb else (yb, ya)
+            else:
+                ya = yb = low = high = s
+            if env[k][0] > b:
+                # nothing there yet
+                env.insert(k, [a, b, line, ya, yb])
+                continue
+            new = None  # what replaces env[start:m], once the run changes anything
+            run = -1  # the first index of the stretch the line holds, mu there run_y
+            i = a
+            m = k
+            while env[m][0] <= b:
+                piece = env[m]
+                p0, p1, other, y0, y1 = piece
+                m += 1
+                if i < p0:
+                    # a gap, which the run wins
+                    if new is None:
+                        new, start = [], m - 1
+                    if run < 0:
+                        run, run_y = i, ya if i == a else at(line, i)
+                i = p1 + 1
+                if high <= (y0 if y0 < y1 else y1):
+                    # nowhere above the piece
+                    if run >= 0:
+                        new.append([run, p0 - 1, line, run_y, at(line, p0 - 1)])
+                        run = -1
+                    if new is not None:
+                        new.append(piece)
+                    continue
+                o0 = a if a > p0 else p0
+                o1 = b if b < p1 else p1
+                if low > (y0 if y0 > y1 else y1):
+                    # everywhere above it
+                    d0 = d1 = 1.0
+                else:
+                    d0 = (ya if o0 == a else at(line, o0)) - (y0 if o0 == p0 else at(other, o0))
+                    d1 = (yb if o1 == b else at(line, o1)) - (y1 if o1 == p1 else at(other, o1))
+                if d0 > 0.0 and d1 > 0.0:
+                    w0, w1 = o0, o1
+                    begin = before = end = after = None
+                elif d0 > 0.0 or d1 > 0.0:
+                    # one crossing, interpolated: j is the first point past
+                    # it, so j - 1 and j are its neighbouring grid points
+                    j = o0 + 1 + int(d0 / (d0 - d1) * (o1 - o0))
+                    line_j, other_j = at(line, j), at(other, j)
+                    line_before, other_before = at(line, j - 1), at(other, j - 1)
+                    # the check: the line wins at j - 1 and not at j, or the reverse
+                    if (line_before > other_before) != (d0 > 0.0):
+                        j -= 1
+                        line_j, other_j = line_before, other_before
+                        line_before, other_before = at(line, j - 1), at(other, j - 1)
+                    elif (line_j > other_j) == (d0 > 0.0):
+                        j += 1
+                        line_before, other_before = line_j, other_j
+                        line_j, other_j = at(line, j), at(other, j)
+                    if d0 > 0.0:
+                        w0, w1 = o0, j - 1
+                        begin = before = None
+                        end, after = line_before, other_j
+                    else:
+                        w0, w1 = j, o1
+                        begin, before = line_j, other_before
+                        end = after = None
+                else:
+                    if run >= 0:
+                        new.append([run, p0 - 1, line, run_y, at(line, p0 - 1)])
+                        run = -1
+                    if new is not None:
+                        new.append(piece)
+                    continue
+                if new is None:
+                    new, start = [], m - 1
+                if w0 > p0:
+                    if run >= 0:
+                        new.append([run, p0 - 1, line, run_y, at(line, p0 - 1)])
+                        run = -1
+                    new.append([p0, w0 - 1, other, y0, at(other, w0 - 1) if before is None else before])
+                if run < 0:
+                    run, run_y = w0, (ya if w0 == a else at(line, w0)) if begin is None else begin
+                if w1 < p1:
+                    new.append([run, w1, line, run_y, (yb if w1 == b else at(line, w1)) if end is None else end])
+                    run = -1
+                    new.append([w1 + 1, p1, other, at(other, w1 + 1) if after is None else after, y1])
+            if i <= b:
+                # a gap to the run's end, which it wins
+                if new is None:
+                    new, start = [], m
+                if run < 0:
+                    run, run_y = i, ya if i == a else at(line, i)
+            if run >= 0:
+                new.append([run, b, line, run_y, yb])
+            if new is not None:
+                env[start:m] = new
+    del env[-1]
+    return env
 
 
 def _term_strengths(cells, n_right: int, n_left: int, angle, dist) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from fuzzynav import Metrics, Scenario, builtin, load_scenario, parse_rulebase, render_rulebase
+from fuzzynav import cli
 from fuzzynav.cli import CSV_HEADER, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -144,6 +146,19 @@ class TestCompareCommand:
         assert main(["compare", "--scenario", str(sc), "--out", str(out), "--quiet"]) == 0
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in BENCHMARK_TRAJECTORY_SHA256}
         assert got == BENCHMARK_TRAJECTORY_SHA256
+
+    def test_trajectory_row_format_writes_the_bytes_of_format(self):
+        # each row is one %-format of eight %.9g fields; on every float it must
+        # give format(v, ".9g"), so the pinned bytes above cannot move
+        rng = random.Random(97)
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310, 1e300, -1e300,
+                  1.7976931348623157e308, 0.1, 26.3, 1e16, 123456789.5]
+        values += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 300) for _ in range(20000)]
+        values += [rng.uniform(-50.0, 50.0) for _ in range(20000)]
+        for v in values:
+            assert "%.9g" % v == format(v, ".9g"), v.hex()
+        rows = [tuple(values[i:i + 8]) for i in range(0, 40000, 8)]
+        assert all(cli._CSV_ROW % row == ",".join(format(v, ".9g") for v in row) for row in rows)
 
     def test_per_controller_trajectories_written(self, tmp_path):
         sc = write_benchmark_scenario(tmp_path)

@@ -467,7 +467,29 @@ def output_vars():
         for d_max, v_max in ((24.41, 2.0), (3.0, 1.0)):
             outputs[f"builtin({n}) v_max={v_max}"] = builtin(n, d_max=d_max, v_max=v_max).right_var
     outputs["dense file"] = parse_rulebase(dense_rules_text()).right_var
+    outputs.update(deep_vars())
     return outputs
+
+
+def deep_vars():
+    """Outputs with some grid point inside three or more supports, whose
+    terms break peak order, by name: a tall narrow term inside a wide
+    term's plateau; supports whose right feet come in another order than
+    their left feet, listed out of peak order; and a side narrower than a
+    grid step, one that overflows to an infinite slope and a term between
+    two grid points (step 2.5e-4)."""
+    def var(*terms):
+        return LinguisticVariable("v", 0.0, 2.0, tuple(Term(label, TriangularMF(*abc)) for label, abc in terms))
+
+    return {
+        "deep nested": var(("lo", (0.0, 0.0, 1.4)), ("wide", (0.2, 1.0, 1.8)), ("tall", (0.95, 1.0, 1.05)),
+                           ("hi", (0.6, 2.0, 2.0))),
+        "deep crossed feet": var(("c", (0.3, 1.2, 1.5)), ("a", (0.1, 0.5, 1.9)), ("hi", (1.0, 2.0, 2.0)),
+                                 ("b", (0.2, 0.4, 0.9)), ("lo", (0.0, 0.0, 1.0))),
+        "deep narrow": var(("lo", (0.0, 0.0, 1.2)), ("steep", (0.5, 0.50001, 1.5)), ("cliff", (0.3, 1.0, 1.00005)),
+                           ("between", (0.70001, 0.70002, 0.70003)), ("overflow", (0.0, 5e-324, 1.6)),
+                           ("hi", (0.4, 2.0, 2.0))),
+    }
 
 
 def narrow_var():
@@ -488,18 +510,19 @@ def narrow_side_var():
     return replace(var, terms=(var.terms[0], Term("M", TriangularMF(0.0, 5e-324, 2.0)), var.terms[2]))
 
 
-def zero_area_boundary(var):
-    """Strengths for M alone on ``var`` one ulp either side of the last one
-    the engine flags, and of the first it does not."""
+def zero_area_boundary(var, fired=lambda s: (0.0, s, 0.0)):
+    """Strengths ``fired(s)`` on ``var`` (by default M alone) for ``s`` one
+    ulp either side of the last one the engine flags, and of the first it
+    does not."""
     def flagged(s):
-        return engine._centroid(compiled(var), (0.0, s, 0.0))[1]
+        return engine._centroid(compiled(var), fired(s))[1]
 
     lo, hi = 1e-15, 1e-9
     assert flagged(lo) and not flagged(hi)
     while math.nextafter(lo, 1.0) < hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if flagged(mid) else (lo, mid)
-    return [(0.0, s, 0.0) for s in (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, 1.0))]
+    return [fired(s) for s in (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, 1.0))]
 
 
 def centroid_cases():
@@ -523,6 +546,20 @@ def centroid_cases():
     cases["narrow side"] = (narrow_side_var(), mixed)
     var = builtin(3, d_max=24.41).right_var
     cases["zero-area boundary"] = (var, zero_area_boundary(var))
+    # the deep outputs: the narrow term poking out of the wide plateau or
+    # hidden under it, crossed feet with each pair firing, the narrow sides
+    # and the term between grid points with their neighbours, and two
+    # overlapping terms of the dense file at the zero-area boundary
+    deep = deep_vars()
+    cases["deep nested edges"] = (deep["deep nested"], [
+        (0.0, 0.5, 1.0, 0.0), (0.0, 0.5, 0.4, 0.0), (0.3, 0.5, 0.9, 0.3), (0.0, 0.2, 1.0, 0.0), (0.6, 0.0, 1.0, 0.6)])
+    cases["deep crossed feet edges"] = (deep["deep crossed feet"], [
+        (0.0, 0.6, 0.0, 0.9, 0.0), (0.5, 0.7, 0.0, 0.0, 0.0), (0.8, 0.0, 0.0, 0.6, 0.3), (0.4, 0.5, 0.6, 0.7, 0.8)])
+    cases["deep narrow edges"] = (deep["deep narrow"], [
+        (0.0, 1.0, 0.0, 0.0, 0.0, 0.0), (0.3, 0.9, 0.8, 1.0, 0.0, 0.2), (0.0, 0.0, 1.0, 1.0, 0.0, 0.0),
+        (0.2, 0.0, 0.0, 1.0, 0.7, 0.0), (0.5, 0.4, 0.3, 0.9, 0.6, 0.5)])
+    var = parse_rulebase(dense_rules_text()).right_var
+    cases["deep zero-area boundary"] = (var, zero_area_boundary(var, lambda s: (0.0, 0.5 * s, s, 0.0, 0.0)))
     return cases
 
 
@@ -538,8 +575,44 @@ class TestClosedFormCentroid:
             assert abs(got[0] - want[0]) <= 1e-12, strengths
             assert math.isfinite(got[0]) and var.lo <= got[0] <= var.hi
             flags.append(got[1])
-        if name == "zero-area boundary":
+        if name.endswith("zero-area boundary"):
             assert flags == [True, True, False, False]
+
+
+class TestEnvelope:
+    def test_a_crossing_interpolated_past_the_overlap_is_checked_back(self):
+        # two falling runs over grid points 0-4 on [0, 2]: the piece drops
+        # from 1.0 to 2.2e-16, the run from 0.4 to 4.3e-17 above that, so
+        # the line wins at point 4 alone, by less than an ulp of its deficit
+        # at point 0; d0 / (d0 - d1) rounds to 1.0 and puts the first point
+        # past the crossing at 5, past the overlap
+        lo, hi, step = 0.0, 2.0, 2.0 / 8000
+        x4 = 4 * step
+        piece_line = (math.nextafter(x4, 1.0), -math.nextafter(x4, 1.0), 1.0)
+        c = float.fromhex("0x1.0624dd2f1a9ffp-10")
+        run_line = (c, -2.5 * c, 0.5)
+
+        def at(line, i):
+            return min((i * step - line[0]) / line[1], line[2])
+
+        d0, d1 = at(run_line, 0) - at(piece_line, 0), at(run_line, 4) - at(piece_line, 4)
+        assert d0 < 0.0 < d1 and d0 / (d0 - d1) == 1.0
+        fired = [(0, 0, 0, 5, (0.0, 1.0, s), (0.0, 0.0, s), line) for line, s in ((piece_line, 1.0), (run_line, 0.5))]
+        pieces = engine._envelope_pieces(fired, lo, hi, step)
+        assert pieces == [[0, 3, piece_line, 1.0, at(piece_line, 3)], [4, 4, run_line, at(run_line, 4), at(run_line, 4)]]
+
+    def test_only_terms_above_zero_reach_the_envelope(self, monkeypatch):
+        # a clip at 0.0 would add only pieces of 0.0, which leave both sums as
+        # they are, so the result cannot show it; the work can
+        seen = []
+
+        def recording(fired, *args, _fn=engine._envelope_pieces):
+            seen.append(sorted(clip[5][2] for clip in fired))
+            return _fn(fired, *args)
+
+        monkeypatch.setattr(engine, "_envelope_pieces", recording)
+        engine._centroid(compiled(builtin(7, d_max=24.41).right_var), (0.0, 0.4, 0.0, 0.0, 0.7, 0.0, 0.0))
+        assert seen == [[0.4, 0.7]]
 
 
 class TestCompiledOutput:
@@ -548,7 +621,6 @@ class TestCompiledOutput:
         var = {**output_vars(), "narrow side": narrow_side_var(), "narrow term": narrow_var()}[name]
         out = compiled(var)
         assert (out.lo, out.hi, out.step) == (var.lo, var.hi, (var.hi - var.lo) / 8000)
-        assert [t[0] for t in out.terms] == sorted(t[0] for t in out.terms)
         supports = {k: (first, stop) for first, stop, k, *_ in out.terms}
         xs = np.linspace(var.lo, var.hi, 8001)
         for k, term in enumerate(var.terms):
@@ -572,17 +644,34 @@ def reversed_output_terms(rb):
     return parse_rulebase("\n".join(lines) + "\n")
 
 
+def equal_feet_rules_text():
+    """The dense rules file with the right output's T2 on T1's feet: over
+    [0, 1.5] T1 peaks at 0.5 and T2 at 1.0, so at equal strengths below
+    their crossing their plateaus tie over a stretch."""
+    text = dense_rules_text()
+    assert "term right T2 tri 0.0 1.0 2.0\n" in text
+    return text.replace("term right T2 tri 0.0 1.0 2.0\n", "term right T2 tri 0.0 1.0 1.5\n")
+
+
+def term_order_cases():
+    """The sparse-firing bases and the equal-feet file."""
+    return {**sparse_cases(), "equal feet": parse_rulebase(equal_feet_rules_text())}
+
+
 class TestTermOrder:
-    @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_output_terms_out_of_peak_order_give_the_same_bits(self, n):
-        # the built-ins list their output terms in peak order, so only a
-        # reversed listing widens the fired window to the left of its first term
-        rb = builtin(n, d_max=24.41)
+    @pytest.mark.parametrize("name", sorted(term_order_cases()))
+    def test_output_terms_out_of_peak_order_give_the_same_bits(self, name):
+        # these bases list their output terms in peak order, so only a
+        # reversed listing puts a term that starts further left after one
+        # that starts further right, and lists the later of two clips that
+        # tie first
+        rb = term_order_cases()[name]
         flipped = reversed_output_terms(rb)
         assert flipped.right_var.labels == rb.right_var.labels[::-1]
         assert flipped.left_var.labels == rb.left_var.labels[::-1]
         rng = np.random.default_rng(83)
-        points = zip(rng.uniform(-math.pi, math.pi, 3000).tolist(), rng.uniform(0.0, 24.41, 3000).tolist())
+        a, d = rb.angle_var, rb.distance_var
+        points = zip(rng.uniform(a.lo, a.hi, 3000).tolist(), rng.uniform(d.lo, d.hi, 3000).tolist())
         for e_theta, e_d in points:
             assert hexed(infer(flipped, e_theta, e_d)) == hexed(infer(rb, e_theta, e_d)), (e_theta, e_d)
 

@@ -19,15 +19,15 @@ def test_every_anchor_occurs_exactly_once_in_src():
     listed = tool.MUTANTS + tool.EQUIVALENT
     assert all(m.path.startswith("src/fuzzynav/") for m in listed)
     assert all((ROOT / t).is_file() for m in tool.MUTANTS for t in m.tests)
-    assert len(tool.MUTANTS) >= 24 and len(tool.EQUIVALENT) == 1
+    assert len(tool.MUTANTS) >= 25 and len(tool.EQUIVALENT) == 1
 
 
 def test_a_missing_anchor_is_reported(tmp_path):
     tool = mutation_check()
     shutil.copytree(ROOT / "src", tmp_path / "src")
     engine = tmp_path / "src" / "fuzzynav" / "engine.py"
-    engine.write_text(engine.read_text(encoding="utf-8").replace("tuple(sorted(terms))", "tuple(terms)"),
+    engine.write_text(engine.read_text(encoding="utf-8").replace("_MEMO_SIZE = 1", "_MEMO_SIZE = 2"),
                       encoding="utf-8")
     assert tool.anchor_problems(str(tmp_path)) == [
-        "src/fuzzynav/engine.py: anchor 'tuple(sorted(terms))' occurs 0 times, not once"
+        "src/fuzzynav/engine.py: anchor '_MEMO_SIZE = 1' occurs 0 times, not once"
     ]

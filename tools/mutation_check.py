@@ -12,15 +12,16 @@ suite that already fails cannot pass for a kill.
 
 The mutants pin the comparisons the docs and docstrings state (inclusive
 or strict ties), the run's time and tick budgets, the distance floor of a
-built-in, the order of support the centroid's scan needs and the strength
-a term fires above, the inference memo and the one centroid shared by
-mirrored outputs, the built-in rule bases that runs share and their keys,
-the inclusive ends of the magnitude bound and the size floor, a
-built-in's angle band of (0, pi], the strict overlap a variable's terms
-need to cover their universe and the strictly increasing peaks of a
-uniform partition, the order a render writes terms and rules in, and the
-JSON name of a rejected scenario's type.  ``EQUIVALENT`` lists mutants that
-no test can kill, each with the reason; they are not run.
+built-in, the order the centroid's envelope takes tied clips in, its check
+of an interpolated crossing and the strength a term fires above, the
+inference memo and the one centroid shared by mirrored outputs, the
+built-in rule bases that runs share and their keys, the inclusive ends of
+the magnitude bound and the size floor, a built-in's angle band of
+(0, pi], the strict overlap a variable's terms need to cover their
+universe and the strictly increasing peaks of a uniform partition, the
+order a render writes terms and rules in, and the JSON name of a rejected
+scenario's type.  ``EQUIVALENT`` lists mutants that no test can kill, each
+with the reason; they are not run.
 
 Exits non-zero if any mutant survives, if any anchor is missing or occurs
 more than once, or if pytest does not run cleanly.  Uses only the standard
@@ -89,13 +90,21 @@ MUTANTS = (
     Mutant(RULEBASE, "if not 0 < angle_band <= math.pi:",
            "if not 0 < angle_band < math.pi:", ("tests/test_rulebase.py",)),
     Mutant(MEMBERSHIP, "if start < reach:", "if start <= reach:", ("tests/test_membership.py",)),
-    # the centroid's scan stops at the first fired term that starts past the
-    # interval, so it needs the terms in order of support; every built-in
-    # lists its output terms in that order, so only a rule base listing them
-    # otherwise (reversed) needs the sort
-    Mutant(ENGINE, "tuple(sorted(terms))", "tuple(terms)", ("tests/test_engine.py",)),
-    # a term at strength 0.0 does not fire: it would add cuts but no line, and
-    # with nothing above 0.0 the aggregate would have no piece
+    # the envelope takes clips of equal strength in the order of their runs
+    # and lines, so where two tie the listing order cannot pick the owner;
+    # it checks an interpolated crossing at its two neighbouring grid points,
+    # so one rounded past the overlap is moved back; and a term at strength
+    # 0.0 does not reach it
+    Mutant(ENGINE, "key=lambda clip: (clip[5][2], clip)", "key=lambda clip: clip[5]", ("tests/test_engine.py",)),
+    Mutant(ENGINE, """                    if (line_before > other_before) != (d0 > 0.0):
+                        j -= 1
+                        line_j, other_j = line_before, other_before
+                        line_before, other_before = at(line, j - 1), at(other, j - 1)
+                    elif (line_j > other_j) == (d0 > 0.0):
+                        j += 1
+                        line_before, other_before = line_j, other_j
+                        line_j, other_j = at(line, j), at(other, j)
+""", "", ("tests/test_engine.py",)),
     Mutant(ENGINE, "        if s > 0.0:\n            # [first, up) rises",
            "        if s >= 0.0:\n            # [first, up) rises", ("tests/test_engine.py",)),
     # a render writes a base as stored: sorting either its terms or its rules
