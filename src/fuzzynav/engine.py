@@ -17,9 +17,10 @@ in pure Python.  The pieces come from an upper envelope: the fired clips
 are inserted one at a time, strongest first, into the pieces built so
 far, so the work follows the aggregate's pieces rather than the fired
 terms on every interval between run ends, however deep the terms overlap.
-The min-AND and the final clamp are conditional expressions making the
-comparisons of ``min`` and ``max``, so they equal the builtins, signed
-zeros included, without their calls.
+The min-AND, the final clamp and each line's cap at its clip's strength
+are conditional expressions making the comparisons of ``min`` and
+``max``, so they equal the builtins, signed zeros included, without their
+calls; the envelope evaluates its lines inline, with no call per value.
 When the two outputs compile alike and their per-term strengths are
 equal (a robot heading straight at the goal on a mirrored rule grid), one
 centroid serves both.  Only the cells whose two input degrees are both
@@ -128,9 +129,13 @@ def _centroid(out: _Output, strengths) -> tuple[float, bool]:
     side meets the strength, and each side's value is capped at it, so an
     estimate one point off moves the result by an ulp at most; the
     support's ends are exact, so a side narrower than a grid step keeps
-    its foot at 0.0, as the sampled curve does.  ``_envelope_pieces`` cuts
-    the aggregate into pieces, each a run of grid indices along one line,
-    and each piece adds its sums of mu and i·mu from its two end values.
+    its foot at 0.0, as the sampled curve does.  Each fired clip is one
+    flat tuple ``(s, first, up, down, stop, left, rise, right, -fall)``:
+    it rises along ``(x - left) / rise`` over ``[first, up)``, holds ``s``
+    over ``[up, down)`` and falls along ``(x - right) / -fall`` over
+    ``[down, stop)``, each capped at ``s``.  ``_envelope_pieces`` cuts the
+    aggregate into pieces, each a run of grid indices along one line, and
+    each piece adds its sums of mu and i·mu from its two end values.
 
     The clamp to the universe makes the comparisons of ``min(max(c, lo),
     hi)``.
@@ -151,9 +156,8 @@ def _centroid(out: _Output, strengths) -> tuple[float, bool]:
                 down = up if down < up else stop if down > stop else down
             else:
                 down = stop
-            # each run's line is (c, w, s); (x - right) / -fall is
-            # (right - x) / fall bit for bit
-            fired.append((first, up, down, stop, (left, rise, s), (0.0, 0.0, s), (right, -fall, s)))
+            # (x - right) / -fall is (right - x) / fall bit for bit
+            fired.append((s, first, up, down, stop, left, rise, right, -fall))
     if not fired:
         return 0.5 * (lo + hi), True
     pieces = _envelope_pieces(fired, lo, hi, step)
@@ -161,13 +165,13 @@ def _centroid(out: _Output, strengths) -> tuple[float, bool]:
     # sums of mu and i·mu over the grid, each piece's from its end values and
     # the sums of i and i² over its indices
     total = moment = 0.0
-    for i0, i1, _, y0, y1 in pieces:
+    for i0, i1, _, _, _, y0, y1 in pieces:
         n = i1 - i0 + 1
         area = n * (y0 + y1) * 0.5
         total += area
         moment += i0 * area + y0 * (n * (n - 1) // 2) + (y1 - y0) * (n * (2 * n - 1) / 6)
-    mu_first = pieces[0][3] if pieces[0][0] == 0 else 0.0
-    mu_last = pieces[-1][4] if pieces[-1][1] == _LAST else 0.0
+    mu_first = pieces[0][5] if pieces[0][0] == 0 else 0.0
+    mu_last = pieces[-1][6] if pieces[-1][1] == _LAST else 0.0
     # the trapezoid rule halves the two end points; x_i = lo + i * step
     total -= 0.5 * (mu_first + mu_last)
     if step * total < ZERO_AREA_TOL:
@@ -177,10 +181,13 @@ def _centroid(out: _Output, strengths) -> tuple[float, bool]:
     return hi if hi < crisp else crisp, False
 
 
-def _envelope_pieces(fired, lo, hi, step) -> list[list]:
-    """The max of the ``fired`` clips, left to right, as ``[first index, last
-    index, line, mu at first, mu at last]`` per piece along one line, built
-    as an upper envelope.
+def _envelope_pieces(fired, lo, hi, step) -> list[tuple]:
+    """The max of the ``fired`` clips, left to right, as ``(first index,
+    last index, c, w, s, mu at first, mu at last)`` per piece along one
+    line, built as an upper envelope.  A piece's line is ``s`` where ``w``
+    is 0.0 and ``(x - c) / w`` capped at ``s`` elsewhere, ``x`` being the
+    grid point ``lo + i * step`` (``hi`` at the last index); ``fired`` is
+    sorted in place.
 
     Each clip's rise, plateau and fall runs are inserted once into the
     pieces built so far, the strongest clip first; nothing assumes an order
@@ -193,25 +200,20 @@ def _envelope_pieces(fired, lo, hi, step) -> list[list]:
     the values at the overlap's two ends and, where those disagree, one
     interpolated crossing, checked at its two neighbouring grid points.
     Where no piece lies the aggregate is 0.0, so the run wins, and a run
-    that wins nothing leaves the pieces as they are.
+    that wins nothing leaves the pieces as they are.  Every value of a
+    line is evaluated inline, as ``(s if (y := (x - c) / w) > s else y)
+    if w else s``.
     """
-    def at(line, i):
-        c, w, s = line
-        if not w:
-            return s
-        y = ((hi if i == _LAST else i * step + lo) - c) / w
-        return s if y > s else y
-
+    # strongest first, so that most later runs lie below the pieces they
+    # meet; ties go by the rest of the tuple, its runs and lines
+    fired.sort(reverse=True)
     # the last piece is a sentinel past the grid, so no walk runs off the end
-    env = [[_SAMPLES, _SAMPLES, None, 0.0, 0.0]]
-    # strongest first, so that most later runs lie below the pieces they meet
-    clips = sorted(fired, key=lambda clip: (clip[5][2], clip), reverse=True)
-    for first, up, down, stop, rising, flat, falling in clips:
+    env = [(_SAMPLES, _SAMPLES, 0.0, 0.0, 0.0, 0.0, 0.0)]
+    for s, first, up, down, stop, left, rise, right, fall in fired:
         k = 0
-        for a, b, line in ((first, up - 1, rising), (up, down - 1, flat), (down, stop - 1, falling)):
+        for a, b, c, w in ((first, up - 1, left, rise), (up, down - 1, 0.0, 0.0), (down, stop - 1, right, fall)):
             if a > b:
                 continue
-            c, w, s = line
             while env[k][1] < a:
                 k += 1
             if w:
@@ -224,7 +226,7 @@ def _envelope_pieces(fired, lo, hi, step) -> list[list]:
                 ya = yb = low = high = s
             if env[k][0] > b:
                 # nothing there yet
-                env.insert(k, [a, b, line, ya, yb])
+                env.insert(k, (a, b, c, w, s, ya, yb))
                 continue
             new = None  # what replaces env[start:m], once the run changes anything
             run = -1  # the first index of the stretch the line holds, mu there run_y
@@ -232,19 +234,24 @@ def _envelope_pieces(fired, lo, hi, step) -> list[list]:
             m = k
             while env[m][0] <= b:
                 piece = env[m]
-                p0, p1, other, y0, y1 = piece
+                p0, p1, pc, pw, ps, y0, y1 = piece
                 m += 1
                 if i < p0:
                     # a gap, which the run wins
                     if new is None:
                         new, start = [], m - 1
                     if run < 0:
-                        run, run_y = i, ya if i == a else at(line, i)
+                        run = i
+                        if i == a:
+                            run_y = ya
+                        else:
+                            run_y = (s if (y := ((hi if i == _LAST else i * step + lo) - c) / w) > s else y) if w else s
                 i = p1 + 1
                 if high <= (y0 if y0 < y1 else y1):
                     # nowhere above the piece
                     if run >= 0:
-                        new.append([run, p0 - 1, line, run_y, at(line, p0 - 1)])
+                        x = hi if p0 - 1 == _LAST else (p0 - 1) * step + lo
+                        new.append((run, p0 - 1, c, w, s, run_y, (s if (y := (x - c) / w) > s else y) if w else s))
                         run = -1
                     if new is not None:
                         new.append(piece)
@@ -255,26 +262,55 @@ def _envelope_pieces(fired, lo, hi, step) -> list[list]:
                     # everywhere above it
                     d0 = d1 = 1.0
                 else:
-                    d0 = (ya if o0 == a else at(line, o0)) - (y0 if o0 == p0 else at(other, o0))
-                    d1 = (yb if o1 == b else at(line, o1)) - (y1 if o1 == p1 else at(other, o1))
+                    # the line less the piece at o0 and o1; o0 is a or p0
+                    # and o1 is b or p1, so each side needs one line at most
+                    if o0 == p0:
+                        if o0 == a:
+                            d0 = ya - y0
+                        else:
+                            x = hi if o0 == _LAST else o0 * step + lo
+                            d0 = ((s if (y := (x - c) / w) > s else y) if w else s) - y0
+                    else:
+                        x = hi if o0 == _LAST else o0 * step + lo
+                        d0 = ya - ((ps if (y := (x - pc) / pw) > ps else y) if pw else ps)
+                    if o1 == p1:
+                        if o1 == b:
+                            d1 = yb - y1
+                        else:
+                            x = hi if o1 == _LAST else o1 * step + lo
+                            d1 = ((s if (y := (x - c) / w) > s else y) if w else s) - y1
+                    else:
+                        x = hi if o1 == _LAST else o1 * step + lo
+                        d1 = yb - ((ps if (y := (x - pc) / pw) > ps else y) if pw else ps)
+                # where the run wins to the overlap's end and the piece goes
+                # on past it, that end is b, so end is yb
                 if d0 > 0.0 and d1 > 0.0:
                     w0, w1 = o0, o1
-                    begin = before = end = after = None
+                    begin = before = after = None
+                    end = yb
                 elif d0 > 0.0 or d1 > 0.0:
                     # one crossing, interpolated: j is the first point past
                     # it, so j - 1 and j are its neighbouring grid points
                     j = o0 + 1 + int(d0 / (d0 - d1) * (o1 - o0))
-                    line_j, other_j = at(line, j), at(other, j)
-                    line_before, other_before = at(line, j - 1), at(other, j - 1)
+                    x = hi if j == _LAST else j * step + lo
+                    line_j = (s if (y := (x - c) / w) > s else y) if w else s
+                    other_j = (ps if (y := (x - pc) / pw) > ps else y) if pw else ps
+                    x = hi if j - 1 == _LAST else (j - 1) * step + lo
+                    line_before = (s if (y := (x - c) / w) > s else y) if w else s
+                    other_before = (ps if (y := (x - pc) / pw) > ps else y) if pw else ps
                     # the check: the line wins at j - 1 and not at j, or the reverse
                     if (line_before > other_before) != (d0 > 0.0):
                         j -= 1
                         line_j, other_j = line_before, other_before
-                        line_before, other_before = at(line, j - 1), at(other, j - 1)
+                        x = hi if j - 1 == _LAST else (j - 1) * step + lo
+                        line_before = (s if (y := (x - c) / w) > s else y) if w else s
+                        other_before = (ps if (y := (x - pc) / pw) > ps else y) if pw else ps
                     elif (line_j > other_j) == (d0 > 0.0):
                         j += 1
                         line_before, other_before = line_j, other_j
-                        line_j, other_j = at(line, j), at(other, j)
+                        x = hi if j == _LAST else j * step + lo
+                        line_j = (s if (y := (x - c) / w) > s else y) if w else s
+                        other_j = (ps if (y := (x - pc) / pw) > ps else y) if pw else ps
                     if d0 > 0.0:
                         w0, w1 = o0, j - 1
                         begin = before = None
@@ -282,10 +318,11 @@ def _envelope_pieces(fired, lo, hi, step) -> list[list]:
                     else:
                         w0, w1 = j, o1
                         begin, before = line_j, other_before
-                        end = after = None
+                        end, after = yb, None
                 else:
                     if run >= 0:
-                        new.append([run, p0 - 1, line, run_y, at(line, p0 - 1)])
+                        x = hi if p0 - 1 == _LAST else (p0 - 1) * step + lo
+                        new.append((run, p0 - 1, c, w, s, run_y, (s if (y := (x - c) / w) > s else y) if w else s))
                         run = -1
                     if new is not None:
                         new.append(piece)
@@ -294,23 +331,41 @@ def _envelope_pieces(fired, lo, hi, step) -> list[list]:
                     new, start = [], m - 1
                 if w0 > p0:
                     if run >= 0:
-                        new.append([run, p0 - 1, line, run_y, at(line, p0 - 1)])
+                        x = hi if p0 - 1 == _LAST else (p0 - 1) * step + lo
+                        new.append((run, p0 - 1, c, w, s, run_y, (s if (y := (x - c) / w) > s else y) if w else s))
                         run = -1
-                    new.append([p0, w0 - 1, other, y0, at(other, w0 - 1) if before is None else before])
+                    if before is None:
+                        x = hi if w0 - 1 == _LAST else (w0 - 1) * step + lo
+                        before = (ps if (y := (x - pc) / pw) > ps else y) if pw else ps
+                    new.append((p0, w0 - 1, pc, pw, ps, y0, before))
                 if run < 0:
-                    run, run_y = w0, (ya if w0 == a else at(line, w0)) if begin is None else begin
+                    run = w0
+                    if begin is not None:
+                        run_y = begin
+                    elif w0 == a:
+                        run_y = ya
+                    else:
+                        x = hi if w0 == _LAST else w0 * step + lo
+                        run_y = (s if (y := (x - c) / w) > s else y) if w else s
                 if w1 < p1:
-                    new.append([run, w1, line, run_y, (yb if w1 == b else at(line, w1)) if end is None else end])
+                    new.append((run, w1, c, w, s, run_y, end))
                     run = -1
-                    new.append([w1 + 1, p1, other, at(other, w1 + 1) if after is None else after, y1])
+                    if after is None:
+                        x = hi if w1 + 1 == _LAST else (w1 + 1) * step + lo
+                        after = (ps if (y := (x - pc) / pw) > ps else y) if pw else ps
+                    new.append((w1 + 1, p1, pc, pw, ps, after, y1))
             if i <= b:
                 # a gap to the run's end, which it wins
                 if new is None:
                     new, start = [], m
                 if run < 0:
-                    run, run_y = i, ya if i == a else at(line, i)
+                    run = i
+                    if i == a:
+                        run_y = ya
+                    else:
+                        run_y = (s if (y := ((hi if i == _LAST else i * step + lo) - c) / w) > s else y) if w else s
             if run >= 0:
-                new.append([run, b, line, run_y, yb])
+                new.append((run, b, c, w, s, run_y, yb))
             if new is not None:
                 env[start:m] = new
     del env[-1]

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -579,6 +581,36 @@ class TestClosedFormCentroid:
             assert flags == [True, True, False, False]
 
 
+def seeded_strengths(seed=29, per_var=400):
+    """(name, variable, strength tuples) on every output of ``output_vars``,
+    drawn with ``random.Random`` so the stream does not depend on numpy's
+    version.  Each term is unfired half the time, otherwise it fires at
+    0.25, 0.5 or 1.0 (so clips of equal strength meet) or at a uniform
+    draw."""
+    rng = random.Random(seed)
+
+    def strength():
+        r = rng.random()
+        return 0.0 if r < 0.5 else rng.choice((0.25, 0.5, 1.0)) if r < 0.65 else rng.random()
+
+    for name, var in sorted(output_vars().items()):
+        n = len(var.terms)
+        yield name, var, [tuple(strength() for _ in range(n)) for _ in range(per_var)]
+
+
+class TestCentroidBits:
+    def test_seeded_centroids_are_pinned(self):
+        # the hex of every value and its flag, hashed in order, so a change
+        # to the centroid's arithmetic or to how it breaks ties moves it
+        digest = hashlib.sha256()
+        for _, var, cases in seeded_strengths():
+            out = compiled(var)
+            for strengths in cases:
+                value, flag = engine._centroid(out, strengths)
+                digest.update(f"{value.hex()} {flag}\n".encode())
+        assert digest.hexdigest() == "61a985b45f0a4a5675fc5e1556e4803fc82293a8bfe6d712737bd86fbb213d3b"
+
+
 class TestEnvelope:
     def test_a_crossing_interpolated_past_the_overlap_is_checked_back(self):
         # two falling runs over grid points 0-4 on [0, 2]: the piece drops
@@ -597,9 +629,11 @@ class TestEnvelope:
 
         d0, d1 = at(run_line, 0) - at(piece_line, 0), at(run_line, 4) - at(piece_line, 4)
         assert d0 < 0.0 < d1 and d0 / (d0 - d1) == 1.0
-        fired = [(0, 0, 0, 5, (0.0, 1.0, s), (0.0, 0.0, s), line) for line, s in ((piece_line, 1.0), (run_line, 0.5))]
+        # each clip is only a falling run over points 0-4 along its line
+        fired = [(s, 0, 0, 0, 5, 0.0, 1.0, c, w) for c, w, s in (piece_line, run_line)]
         pieces = engine._envelope_pieces(fired, lo, hi, step)
-        assert pieces == [[0, 3, piece_line, 1.0, at(piece_line, 3)], [4, 4, run_line, at(run_line, 4), at(run_line, 4)]]
+        assert pieces == [(0, 3, *piece_line, 1.0, at(piece_line, 3)),
+                          (4, 4, *run_line, at(run_line, 4), at(run_line, 4))]
 
     def test_only_terms_above_zero_reach_the_envelope(self, monkeypatch):
         # a clip at 0.0 would add only pieces of 0.0, which leave both sums as
@@ -607,12 +641,39 @@ class TestEnvelope:
         seen = []
 
         def recording(fired, *args, _fn=engine._envelope_pieces):
-            seen.append(sorted(clip[5][2] for clip in fired))
+            seen.append(sorted(clip[0] for clip in fired))
             return _fn(fired, *args)
 
         monkeypatch.setattr(engine, "_envelope_pieces", recording)
         engine._centroid(compiled(builtin(7, d_max=24.41).right_var), (0.0, 0.4, 0.0, 0.0, 0.7, 0.0, 0.0))
         assert seen == [[0.4, 0.7]]
+
+    def test_seeded_pieces_are_ordered_and_end_on_their_lines(self, monkeypatch):
+        # an oracle for the envelope's inline arithmetic: the pieces tile
+        # part of the grid left to right, and each one's two end values are
+        # its line, capped at its strength, at those indices
+        calls = []
+
+        def recording(fired, lo, hi, step, _fn=engine._envelope_pieces):
+            pieces = _fn(fired, lo, hi, step)
+            calls.append((lo, hi, step, pieces))
+            return pieces
+
+        monkeypatch.setattr(engine, "_envelope_pieces", recording)
+        for _, var, cases in seeded_strengths():
+            out = compiled(var)
+            for strengths in cases:
+                engine._centroid(out, strengths)
+        assert len(calls) > 1000
+        for lo, hi, step, pieces in calls:
+            assert 0 <= pieces[0][0] and pieces[-1][1] <= engine._LAST
+            assert all(before[1] < after[0] for before, after in zip(pieces, pieces[1:]))
+            for first, last, c, w, s, mu_first, mu_last in pieces:
+                assert first <= last
+                for i, mu in ((first, mu_first), (last, mu_last)):
+                    x = hi if i == engine._LAST else lo + i * step
+                    want = min((x - c) / w, s) if w else s
+                    assert mu.hex() == want.hex(), (first, last, c, w, s, i)
 
 
 class TestCompiledOutput:

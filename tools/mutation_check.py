@@ -91,19 +91,25 @@ MUTANTS = (
            "if not 0 < angle_band < math.pi:", ("tests/test_rulebase.py",)),
     Mutant(MEMBERSHIP, "if start < reach:", "if start <= reach:", ("tests/test_membership.py",)),
     # the envelope takes clips of equal strength in the order of their runs
-    # and lines, so where two tie the listing order cannot pick the owner;
+    # and lines (the rest of each flat clip tuple), so where two tie the
+    # listing order cannot pick the owner;
     # it checks an interpolated crossing at its two neighbouring grid points,
     # so one rounded past the overlap is moved back; and a term at strength
     # 0.0 does not reach it
-    Mutant(ENGINE, "key=lambda clip: (clip[5][2], clip)", "key=lambda clip: clip[5]", ("tests/test_engine.py",)),
+    Mutant(ENGINE, "fired.sort(reverse=True)", "fired.sort(key=lambda clip: clip[0], reverse=True)",
+           ("tests/test_engine.py",)),
     Mutant(ENGINE, """                    if (line_before > other_before) != (d0 > 0.0):
                         j -= 1
                         line_j, other_j = line_before, other_before
-                        line_before, other_before = at(line, j - 1), at(other, j - 1)
+                        x = hi if j - 1 == _LAST else (j - 1) * step + lo
+                        line_before = (s if (y := (x - c) / w) > s else y) if w else s
+                        other_before = (ps if (y := (x - pc) / pw) > ps else y) if pw else ps
                     elif (line_j > other_j) == (d0 > 0.0):
                         j += 1
                         line_before, other_before = line_j, other_j
-                        line_j, other_j = at(line, j), at(other, j)
+                        x = hi if j == _LAST else j * step + lo
+                        line_j = (s if (y := (x - c) / w) > s else y) if w else s
+                        other_j = (ps if (y := (x - pc) / pw) > ps else y) if pw else ps
 """, "", ("tests/test_engine.py",)),
     Mutant(ENGINE, "        if s > 0.0:\n            # [first, up) rises",
            "        if s >= 0.0:\n            # [first, up) rises", ("tests/test_engine.py",)),
