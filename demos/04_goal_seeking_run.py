@@ -6,7 +6,7 @@ and writes the plot-ready CSV next to this script.
 """
 import os
 
-from fuzzynav import benchmark_scenario, run
+from fuzzynav import TrajectorySample, benchmark_scenario, run
 
 sc = benchmark_scenario("3")
 print(f"start:  ({sc.start.x}, {sc.start.y}) heading {sc.start.theta}")
@@ -18,8 +18,8 @@ trajectory, metrics = run(sc)
 print("   t      x       y      theta    e_d     e_theta   v_l    v_r")
 for sample in trajectory[:: len(trajectory) // 12]:
     print(
-        f"{sample.t:6.1f} {sample.pose.x:7.2f} {sample.pose.y:7.2f} {sample.pose.theta:8.3f} "
-        f"{sample.errors.e_d:7.3f} {sample.errors.e_theta:+8.3f} {sample.wheels.v_l:6.3f} {sample.wheels.v_r:6.3f}"
+        f"{sample.t:6.1f} {sample.x:7.2f} {sample.y:7.2f} {sample.theta:8.3f} "
+        f"{sample.e_d:7.3f} {sample.e_theta:+8.3f} {sample.v_l:6.3f} {sample.v_r:6.3f}"
     )
 
 print(f"\nreached:            {metrics.reached}")
@@ -28,10 +28,11 @@ print(f"time angle aligned: {metrics.time_angle_aligned} s")
 print(f"path length:        {metrics.path_length:.3f} m (straight line 24.41 m)")
 print(f"rule grid:          {metrics.rule_count} rules (at most 4 cells fire per tick)")
 
+# A sample is one CSV row: its field names are the header, and each field
+# is written as `fuzzynav run` writes it, with "%.9g".
 out = os.path.join(os.path.dirname(__file__), "benchmark_3mf_trajectory.csv")
+row = ",".join(["%.9g"] * len(TrajectorySample._fields))
 with open(out, "w", encoding="utf-8", newline="\n") as fh:
-    fh.write("t,x,y,theta,e_d,e_theta,v_l,v_r\n")
-    for s in trajectory:
-        cells = (s.t, s.pose.x, s.pose.y, s.pose.theta, s.errors.e_d, s.errors.e_theta, s.wheels.v_l, s.wheels.v_r)
-        fh.write(",".join(f"{v:.9g}" for v in cells) + "\n")
+    fh.write(",".join(TrajectorySample._fields) + "\n")
+    fh.writelines(row % s + "\n" for s in trajectory)
 print(f"\nwrote {out}")

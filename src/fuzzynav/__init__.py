@@ -32,7 +32,7 @@ from .kinematics import (
     wheel_to_twist,
     wrap_angle,
 )
-from .navigator import Errors, Goal, compute_errors, control_step
+from .navigator import Goal, compute_errors, control_step
 from .simulation import (
     ComparisonEntry,
     Metrics,
@@ -52,7 +52,6 @@ __all__ = [
     "BUILTIN_SIZES",
     "ComparisonEntry",
     "DEFAULT_ANGLE_BAND",
-    "Errors",
     "Goal",
     "InferenceResult",
     "Issue",

@@ -36,7 +36,7 @@ EXIT_CONFIG = 1
 EXIT_NOT_REACHED = 2
 EXIT_INVALID_RULES = 3
 
-CSV_HEADER = "t,x,y,theta,e_d,e_theta,v_l,v_r"
+CSV_HEADER = ",".join(TrajectorySample._fields)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,17 +60,13 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-# One trajectory row: each ``%.9g`` field writes the bytes of ``_fmt``.
-_CSV_ROW = ",".join(["%.9g"] * 8)
+# One trajectory row, a sample's fields in order: each ``%.9g`` writes the bytes of ``_fmt``.
+_CSV_ROW = ",".join(["%.9g"] * len(TrajectorySample._fields))
 
 
 def _write_trajectory_csv(path: str, trajectory: tuple[TrajectorySample, ...]):
-    lines = [CSV_HEADER]
-    lines += [
-        _CSV_ROW % (s.t, s.pose.x, s.pose.y, s.pose.theta, s.errors.e_d, s.errors.e_theta, s.wheels.v_l, s.wheels.v_r)
-        for s in trajectory
-    ]
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = [_CSV_ROW % s for s in trajectory]
+    _write_text(path, "\n".join([CSV_HEADER, *rows]) + "\n")
 
 
 def _write_json(path: str, data: dict):

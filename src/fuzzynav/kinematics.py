@@ -93,9 +93,13 @@ class RobotParams:
             require_finite(name, getattr(self, name), bounded=True, floored=True)
 
 
+def _twist(v_l: float, v_r: float, wheel_base: float) -> tuple[float, float]:
+    return (v_r + v_l) / 2.0, (v_r - v_l) / wheel_base
+
+
 def wheel_to_twist(ws: WheelSpeeds, p: RobotParams) -> Twist:
     """v = (v_r + v_l)/2, omega = (v_r - v_l)/L."""
-    return Twist((ws.v_r + ws.v_l) / 2.0, (ws.v_r - ws.v_l) / p.wheel_base)
+    return Twist(*_twist(ws.v_l, ws.v_r, p.wheel_base))
 
 
 def curvature_radius(ws: WheelSpeeds, p: RobotParams) -> float:
@@ -110,15 +114,16 @@ def curvature_radius(ws: WheelSpeeds, p: RobotParams) -> float:
     return p.wheel_base * (ws.v_r + ws.v_l) / (2.0 * diff)
 
 
+def _euler(x: float, y: float, theta: float, v: float, omega: float, dt: float) -> tuple[float, float, float]:
+    """``step_euler`` on plain floats, unchecked; theta comes back wrapped."""
+    return x + v * math.cos(theta) * dt, y + v * math.sin(theta) * dt, wrap_angle(theta + omega * dt)
+
+
 def step_euler(pose: Pose, tw: Twist, dt: float) -> Pose:
     """Explicit-Euler pose update over one step of length dt."""
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    return Pose(
-        pose.x + tw.v * math.cos(pose.theta) * dt,
-        pose.y + tw.v * math.sin(pose.theta) * dt,
-        pose.theta + tw.omega * dt,
-    )
+    return Pose(*_euler(pose.x, pose.y, pose.theta, tw.v, tw.omega, dt))
 
 
 def step_exact(pose: Pose, tw: Twist, dt: float) -> Pose:

@@ -1,7 +1,8 @@
 """Goal-seeking control loop glue.
 
-Turns (pose, goal) into the controller's two inputs - distance error and
-heading error - and runs one inference step to get wheel speeds.
+Turns a pose (x, y, theta) and a goal into the controller's two inputs -
+distance error and heading error - and runs one inference step to get
+wheel speeds, all as plain floats.
 """
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ from dataclasses import dataclass
 
 from ._limits import require_finite
 from .engine import infer
-from .kinematics import Pose, WheelSpeeds, wrap_angle
+from .kinematics import wrap_angle
 from .rulebase import RuleBase
 
-__all__ = ["Goal", "Errors", "compute_errors", "control_step", "COINCIDENT_TOL"]
+__all__ = ["Goal", "compute_errors", "control_step", "COINCIDENT_TOL"]
 
 log = logging.getLogger(__name__)
 
@@ -35,44 +36,31 @@ class Goal:
         require_finite("goal y", self.y)
 
 
-@dataclass(frozen=True)
-class Errors:
-    """Controller inputs: distance to goal and heading-to-bearing error."""
-
-    e_d: float
-    e_theta: float
-
-    def __post_init__(self):
-        if not self.e_d >= 0:
-            raise ValueError("e_d must be >= 0")
-        if not -math.pi < self.e_theta <= math.pi:
-            raise ValueError("e_theta must lie in (-pi, pi]")
-
-
-def compute_errors(pose: Pose, goal: Goal) -> Errors:
-    """Distance error and wrapped angle error from ``pose`` to ``goal``.
+def compute_errors(x: float, y: float, theta: float, goal: Goal) -> tuple[float, float]:
+    """Distance error and wrapped angle error ``(e_d, e_theta)`` from the
+    pose ``(x, y, theta)`` to ``goal``.
 
     The angle error is the goal bearing minus the heading, wrapped to
     (-pi, pi].  When the pose coincides with the goal the bearing is
     undefined and the angle error is taken as 0.
     """
-    dx = goal.x - pose.x
-    dy = goal.y - pose.y
+    dx = goal.x - x
+    dy = goal.y - y
     e_d = math.hypot(dx, dy)
     if e_d < COINCIDENT_TOL:
-        return Errors(e_d, 0.0)
-    return Errors(e_d, wrap_angle(math.atan2(dy, dx) - pose.theta))
+        return e_d, 0.0
+    return e_d, wrap_angle(math.atan2(dy, dx) - theta)
 
 
-def control_step(rb: RuleBase, errors: Errors) -> WheelSpeeds:
-    """One inference step: controller errors -> commanded wheel speeds."""
-    result = infer(rb, errors.e_theta, errors.e_d)
+def control_step(rb: RuleBase, e_d: float, e_theta: float) -> tuple[float, float]:
+    """One inference step: controller errors -> commanded wheel speeds ``(v_l, v_r)``."""
+    result = infer(rb, e_theta, e_d)
     if result.right_zero_area or result.left_zero_area:
         log.warning(
             "zero-area aggregation at e_theta=%.4f e_d=%.4f (right=%s left=%s)",
-            errors.e_theta,
-            errors.e_d,
+            e_theta,
+            e_d,
             result.right_zero_area,
             result.left_zero_area,
         )
-    return WheelSpeeds(v_l=result.v_left, v_r=result.v_right)
+    return result.v_left, result.v_right

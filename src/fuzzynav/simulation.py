@@ -16,8 +16,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ._limits import require_finite
-from .kinematics import Pose, RobotParams, WheelSpeeds, step_euler, wheel_to_twist
-from .navigator import Errors, Goal, compute_errors, control_step
+from .kinematics import Pose, RobotParams, _euler, _twist
+from .navigator import Goal, compute_errors, control_step
 from .rulebase import BUILTIN_SIZES, RuleBase, builtin
 from .ruleformat import parse_rulebase
 
@@ -61,8 +61,8 @@ class Scenario:
     ``controller`` is "3", "5" or "7" for a built-in rule base, a path to a
     rule-definition file, or a ready-made :class:`RuleBase`.  The fields are
     checked on construction: an invalid one raises ValueError naming it.
-    ``start`` and ``goal`` must be a finite distance apart, and at most 1e6
-    apart for a built-in controller.
+    ``dt`` must be at most 1e6.  ``start`` and ``goal`` must be a finite
+    distance apart, and at most 1e6 apart for a built-in controller.
     """
 
     start: Pose
@@ -75,8 +75,8 @@ class Scenario:
     controller: str | RuleBase = "3"
 
     def __post_init__(self):
-        for name in _NUMBER_FIELDS:
-            require_finite(f"scenario field '{name}'", getattr(self, name))
+        for name in _NUMBER_FIELDS:  # dt bounded, so that no tick overflows (see ``run``)
+            require_finite(f"scenario field '{name}'", getattr(self, name), bounded=name == "dt")
         if not self.dt > 0:
             raise ValueError("scenario field 'dt' must be > 0")
         if not self.max_time >= self.dt:
@@ -96,12 +96,16 @@ class Scenario:
 
 
 class TrajectorySample(NamedTuple):
-    """State recorded at one control tick; the terminal sample has zero wheels."""
+    """One control tick, a trajectory CSV row; the terminal sample has zero wheels."""
 
     t: float
-    pose: Pose
-    errors: Errors
-    wheels: WheelSpeeds
+    x: float
+    y: float
+    theta: float
+    e_d: float
+    e_theta: float
+    v_l: float
+    v_r: float
 
 
 @dataclass(frozen=True)
@@ -179,25 +183,30 @@ def run(sc: Scenario) -> tuple[list[TrajectorySample], Metrics]:
     Timestamps are k*dt exactly.
     """
     rb = resolve_controller(sc)
+    goal, dt, wheel_base = sc.goal, sc.dt, sc.params.wheel_base
     trajectory: list[TrajectorySample] = []
-    pose = sc.start
+    # Plain floats, checked by no tick: every value stays finite by
+    # construction.  Output universes are bounded, so |v_l|, |v_r| <= 1e6;
+    # wheel_base >= 1e-6, so |omega| <= 2e12; dt <= 1e6, so a tick moves at
+    # most 1e12 m and turns at most 2e18 rad, over at most MAX_TICKS ticks.
+    x, y, theta = sc.start.x, sc.start.y, sc.start.theta
     k = 0
     time_aligned: float | None = None
     path_length = 0.0
     while True:
-        t = k * sc.dt
-        errors = compute_errors(pose, sc.goal)
-        if time_aligned is None and abs(errors.e_theta) <= sc.angle_tol:
+        t = k * dt
+        e_d, e_theta = compute_errors(x, y, theta, goal)
+        if time_aligned is None and abs(e_theta) <= sc.angle_tol:
             time_aligned = t
-        reached = errors.e_d <= sc.goal_tol
+        reached = e_d <= sc.goal_tol
         if reached or t >= sc.max_time:
-            trajectory.append(TrajectorySample(t, pose, errors, WheelSpeeds(0.0, 0.0)))
+            trajectory.append(TrajectorySample(t, x, y, theta, e_d, e_theta, 0.0, 0.0))
             break
-        wheels = control_step(rb, errors)
-        trajectory.append(TrajectorySample(t, pose, errors, wheels))
-        new_pose = step_euler(pose, wheel_to_twist(wheels, sc.params), sc.dt)
-        path_length += math.hypot(new_pose.x - pose.x, new_pose.y - pose.y)
-        pose = new_pose
+        v_l, v_r = control_step(rb, e_d, e_theta)
+        trajectory.append(TrajectorySample(t, x, y, theta, e_d, e_theta, v_l, v_r))
+        new_x, new_y, theta = _euler(x, y, theta, *_twist(v_l, v_r, wheel_base), dt)
+        path_length += math.hypot(new_x - x, new_y - y)
+        x, y = new_x, new_y
         k += 1
     metrics = Metrics(
         reached=reached,

@@ -126,11 +126,11 @@ def test_benchmark_run():
         traj, metrics = run(sc)
         assert metrics.reached, f"{name}-MF did not reach the goal"
         assert metrics.time_to_target <= 120.0
-        assert traj[-1].errors.e_d <= 0.1
+        assert traj[-1].e_d <= 0.1
         assert metrics.time_angle_aligned is not None, f"{name}-MF never aligned"
         aligned_sample = traj[int(round(metrics.time_angle_aligned / sc.dt))]
-        assert abs(aligned_sample.errors.e_theta) <= 0.05
-        assert abs(traj[-1].errors.e_theta) <= 0.05
+        assert abs(aligned_sample.e_theta) <= 0.05
+        assert abs(traj[-1].e_theta) <= 0.05
         results[name] = metrics.time_to_target
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"benchmark took {elapsed:.2f} s, budget 2 s"

@@ -54,7 +54,7 @@ class TestRunCommand:
         assert code == 0
         csv_text = (out / "trajectory.csv").read_text(encoding="utf-8")
         lines = csv_text.splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == "t,x,y,theta,e_d,e_theta,v_l,v_r"
         assert len(lines) > 2
         assert "\r" not in csv_text
         metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
@@ -230,6 +230,15 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 3
         assert "no variables defined" in capsys.readouterr().out
 
+    def test_missing_rule_line_exits_3_naming_the_cell(self, tmp_path, capsys):
+        text = render_rulebase(builtin(5))
+        first_rule = next(line for line in text.splitlines(keepends=True) if line.startswith("rule "))
+        path = tmp_path / "holey.rules"
+        path.write_text(text.replace(first_rule, "", 1), encoding="utf-8")
+        assert main(["validate", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1 and out.startswith("incomplete grid: ")
+
     def test_issue_lines_carry_positions(self, tmp_path, capsys):
         path = tmp_path / "bad.rules"
         path.write_text("var angle range -1 oops\n", encoding="utf-8")
@@ -305,8 +314,13 @@ class TestUnusableFiles:
         *((body, f"scenario.json: scenario config must be a JSON object, got {kind}")
           for body, kind in (("null", "null"), ("true", "boolean"), ("1.5", "number"), ('"x"', "string"),
                              ("[]", "array"))),
+        *(('{"start": {"x": 0, "y": 0}, "goal": {"x": 3, "y": 4}, "params": {"v_max": %s}}' % v_max,
+           f"error: scenario field 'params': v_max must {bound}, got {v_max}")
+          for v_max, bound in (("1e+308", "not exceed 1e+06 in magnitude"), ("1e-320", "be at least 1e-06"))),
+        ('{"start": {"x": 0, "y": 0}, "goal": {"x": 3, "y": 4}, "dt": 1e302, "max_time": 2e302}',
+         "error: scenario field 'dt' must not exceed 1e+06 in magnitude, got 1e+302"),
     ], ids=["integer-overflowing-a-float", "nested-past-the-recursion-limit", "integer-past-the-digit-limit",
-            "null", "boolean", "number", "string", "array"])
+            "null", "boolean", "number", "string", "array", "huge-v_max", "tiny-v_max", "huge-dt"])
     def test_malformed_scenario_exits_1_without_a_traceback(self, tmp_path, command, body, message):
         # in a child process, so an uncaught error shows as its traceback on stderr
         path = tmp_path / "scenario.json"

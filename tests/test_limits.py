@@ -8,6 +8,7 @@ section or line.
 import json
 import math
 import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -173,3 +174,47 @@ class TestScenario:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         with raises("scenario fields 'start' and 'goal': distance must be finite, got inf"):
             load_scenario(str(path))
+
+    def test_dt_is_bounded_where_it_enters(self, tmp_path):
+        # a dt of 1e302 once overflowed theta partway through a run, with an
+        # error that named no scenario field
+        with raises(f"scenario field 'dt' {OVER}, got 1e+302"):
+            Scenario(Pose(0, 0, 0), Goal(10, 0), dt=1e302, max_time=2e302,
+                     params=RobotParams(v_max=1e6, wheel_base=1e-6), controller=builtin(3, d_max=10, v_max=1e6))
+        path = tmp_path / "dt.json"
+        over = 1e6 * (1 + 2**-52)
+        for dt in (over, -over):
+            with raises(f"scenario field 'dt' {OVER}, got {dt}"):
+                Scenario(Pose(0.0, 0.0, 0.0), Goal(10.0, 0.0), dt=dt, max_time=abs(dt))
+            path.write_text(json.dumps({"start": {"x": 0, "y": 0}, "goal": {"x": 10, "y": 0},
+                                        "dt": dt, "max_time": abs(dt)}), encoding="utf-8")
+            with raises(f"scenario field 'dt' {OVER}, got {dt}"):
+                load_scenario(str(path))
+        assert Scenario(Pose(0.0, 0.0, 0.0), Goal(10.0, 0.0), dt=1e6, max_time=1e6).dt == 1e6
+        path.write_text(json.dumps({"start": {"x": 0, "y": 0}, "goal": {"x": 10, "y": 0},
+                                    "dt": 1e6, "max_time": 1e6}), encoding="utf-8")
+        assert load_scenario(str(path)).dt == 1e6
+
+    def test_runs_at_the_corner_values_stay_finite(self):
+        # the longest tick and the fastest, tightest-turning robot, from starts
+        # to goals near the corners of the float range: a tick moves at most
+        # 1e12 m and turns at most 2e18 rad, so no row overflows
+        top = sys.float_info.max
+        pairs = (
+            ((top, top), (top, top / 2)),
+            ((-top, -top), (-top / 2, -top)),
+            ((top, -top), (math.nextafter(top, 0.0), -top)),
+            ((-top, top), (-top / 2, top / 2)),
+            ((top, -top / 2), (top / 2, -top)),
+        )
+        rb = builtin(7, d_max=1e6, v_max=1e6)
+        params = RobotParams(wheel_base=1e-6, v_max=1e6)
+        rows = 0
+        for (sx, sy), (gx, gy) in pairs:
+            for theta in (0.0, 2.0, -3.0):
+                sc = Scenario(Pose(sx, sy, theta), Goal(gx, gy), dt=1e6, max_time=2e7, params=params, controller=rb)
+                traj, metrics = run(sc)
+                assert all(math.isfinite(v) for sample in traj for v in sample)
+                assert math.isfinite(metrics.path_length)
+                rows += len(traj)
+        assert rows == 15 * 21

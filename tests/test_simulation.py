@@ -1,5 +1,6 @@
 import inspect
 import json
+import logging
 import math
 import os
 import re
@@ -11,16 +12,23 @@ import pytest
 
 from fuzzynav import (
     Goal,
+    LinguisticVariable,
     Pose,
     RobotParams,
+    Rule,
+    RuleBase,
     Scenario,
+    Term,
+    TriangularMF,
     benchmark_scenario,
     builtin,
     compare,
+    infer,
     load_scenario,
     ordering_report,
     run,
     scenario_from_dict,
+    uniform_variable,
 )
 from fuzzynav import engine
 from fuzzynav.rulebase import BUILTIN_SIZES
@@ -33,8 +41,8 @@ class TestRunLoop:
         traj, m = run(sc)
         assert m.reached and m.time_to_target == 0.0
         assert len(traj) == 1
-        assert traj[0].pose == Pose(1.0, 2.0, 0.3)
-        assert traj[0].wheels.v_l == traj[0].wheels.v_r == 0.0
+        assert (traj[0].x, traj[0].y, traj[0].theta) == (1.0, 2.0, 0.3)
+        assert traj[0].v_l == traj[0].v_r == 0.0
         assert m.time_angle_aligned == 0.0
         assert m.path_length == 0.0
 
@@ -45,14 +53,14 @@ class TestRunLoop:
     def test_heading_error_equal_to_angle_tol_is_aligned_at_t0(self):
         sc = Scenario(start=Pose(0.0, 0.0, -0.05), goal=Goal(10.0, 0.0), max_time=0.1)
         traj, m = run(sc)
-        assert traj[0].errors.e_theta == sc.angle_tol
+        assert traj[0].e_theta == sc.angle_tol
         assert m.time_angle_aligned == 0.0
 
     def test_benchmark_reaches_the_goal(self):
         traj, m = run(benchmark_scenario("3"))
         assert m.reached
         assert m.time_to_target < 120.0
-        assert traj[-1].errors.e_d <= 0.1
+        assert traj[-1].e_d <= 0.1
 
     def test_timestamps_are_exact_multiples_of_dt(self):
         sc = benchmark_scenario("3")
@@ -99,14 +107,14 @@ class TestRunLoop:
             traj, _ = run(sc)
             idx = len(traj)
             for k in range(len(traj) - 1, -1, -1):
-                if abs(traj[k].errors.e_theta) <= sc.angle_tol:
+                if abs(traj[k].e_theta) <= sc.angle_tol:
                     idx = k
                 else:
                     break
             assert idx < len(traj), f"{name}-MF never aligned"
             seg = traj[idx:]
             for before, after in zip(seg, seg[1:]):
-                assert after.errors.e_d <= before.errors.e_d
+                assert after.e_d <= before.e_d
 
     def test_invalid_scenario_rejected_before_stepping(self):
         pytest_raises_named_field = pytest.raises(ValueError, match="'dt'")
@@ -139,6 +147,41 @@ class TestRunLoop:
         for name, count in (("3", 9), ("5", 25), ("7", 49)):
             _, m = run(benchmark_scenario(name))
             assert m.rule_count == count
+
+
+class TestZeroAreaWarning:
+    @staticmethod
+    def gapped_rulebase():
+        # the two distance terms overlap by only 1e-13 m around 10 m, where
+        # both fire at ~1e-14, so every clip there encloses less than the
+        # engine's zero-area tolerance; an empty aggregate defuzzifies to its
+        # universe's midpoint, +1 m/s on the right wheel and -1 m/s on the left
+        base = builtin(3)
+        distance = LinguisticVariable("distance", 0.0, 20.0, (
+            Term("near", TriangularMF(0.0, 0.0, 10.0 + 1e-13)),
+            Term("far", TriangularMF(10.0 - 1e-13, 20.0, 20.0)),
+        ))
+        left = uniform_variable("left", -2.0, 0.0, base.left_var.labels)
+        rules = tuple(Rule(a, d, "M", "M") for a in base.angle_var.labels for d in distance.labels)
+        return RuleBase(base.angle_var, distance, base.right_var, left, rules)
+
+    def test_one_warning_per_zero_area_tick(self, caplog):
+        rb = self.gapped_rulebase()
+        assert infer(rb, 0.0, 10.0)[2:] == (True, True)
+        assert infer(rb, 0.0, 9.9)[2:] == (False, False)
+        # starting 10 m from the goal, the robot turns on the spot at every
+        # tick and never leaves the gap: ten ticks infer, the last sample stops
+        sc = Scenario(start=Pose(0.0, 0.0, 0.0), goal=Goal(10.0, 0.0), max_time=1.0, controller=rb)
+        with caplog.at_level(logging.WARNING, logger="fuzzynav.navigator"):
+            traj, _ = run(sc)
+        assert len(traj) == 11
+        records = [(r.name, r.levelno) for r in caplog.records]
+        assert records == [("fuzzynav.navigator", logging.WARNING)] * 10
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[0] == "zero-area aggregation at e_theta=0.0000 e_d=10.0000 (right=True left=True)"
+        pattern = r"zero-area aggregation at e_theta=[-+]?\d\.\d{4} e_d=10\.0000 \(right=True left=True\)"
+        assert all(re.fullmatch(pattern, m) for m in messages)
+        assert len(set(messages)) == 10  # each tick's heading error, not one message repeated
 
 
 class TestControllers:

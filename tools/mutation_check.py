@@ -16,11 +16,11 @@ built-in, the order the centroid's envelope takes tied clips in, its check
 of an interpolated crossing and the strength a term fires above, the
 inference memo and the one centroid shared by mirrored outputs, the
 built-in rule bases that runs share and their keys, the inclusive ends of
-the magnitude bound and the size floor, a built-in's angle band of
-(0, pi], the strict overlap a variable's terms need to cover their
-universe and the strictly increasing peaks of a uniform partition, the
-order a render writes terms and rules in, and the JSON name of a rejected
-scenario's type.  ``EQUIVALENT`` lists mutants that no test can kill, each
+the magnitude bound and the size floor, the bound on a scenario's ``dt``,
+a built-in's angle band of (0, pi], the strict overlap a variable's terms
+need to cover their universe and the strictly increasing peaks of a
+uniform partition, the order a render writes terms and rules in, and the
+JSON name of a rejected scenario's type.  ``EQUIVALENT`` lists mutants that no test can kill, each
 with the reason; they are not run.
 
 Exits non-zero if any mutant survives, if any anchor is missing or occurs
@@ -73,10 +73,10 @@ MUTANTS = (
            "if abs(tw.omega) <= OMEGA_STRAIGHT_TOL:", ("tests/test_kinematics.py",)),
     Mutant(NAVIGATOR, "if e_d < COINCIDENT_TOL:",
            "if e_d <= COINCIDENT_TOL:", ("tests/test_navigator.py",)),
-    Mutant(SIMULATION, "reached = errors.e_d <= sc.goal_tol",
-           "reached = errors.e_d < sc.goal_tol", ("tests/test_simulation.py",)),
-    Mutant(SIMULATION, "abs(errors.e_theta) <= sc.angle_tol",
-           "abs(errors.e_theta) < sc.angle_tol", ("tests/test_simulation.py",)),
+    Mutant(SIMULATION, "reached = e_d <= sc.goal_tol",
+           "reached = e_d < sc.goal_tol", ("tests/test_simulation.py",)),
+    Mutant(SIMULATION, "abs(e_theta) <= sc.angle_tol",
+           "abs(e_theta) < sc.angle_tol", ("tests/test_simulation.py",)),
     Mutant(SIMULATION, "if reached or t >= sc.max_time:",
            "if reached or t > sc.max_time:", ("tests/test_simulation.py",)),
     Mutant(SIMULATION, "if self.max_time / self.dt > MAX_TICKS:",
@@ -84,6 +84,8 @@ MUTANTS = (
     Mutant(SIMULATION, "if not self.max_time >= self.dt:",
            "if not self.max_time > self.dt:", ("tests/test_simulation.py",)),
     Mutant(SIMULATION, "MIN_D_MAX = 1.0", "MIN_D_MAX = 0.0", ("tests/test_simulation.py",)),
+    # the bound on dt keeps every tick of a run finite
+    Mutant(SIMULATION, 'bounded=name == "dt"', "bounded=False", ("tests/test_limits.py",)),
     Mutant(LIMITS, "not -MAX_MAGNITUDE <= value <= MAX_MAGNITUDE",
            "not -MAX_MAGNITUDE < value < MAX_MAGNITUDE", ("tests/test_limits.py",)),
     Mutant(LIMITS, "not value >= MIN_SIZE", "not value > MIN_SIZE", ("tests/test_limits.py",)),
