@@ -23,11 +23,12 @@ are conditional expressions making the comparisons of ``min`` and
 calls; the envelope evaluates its lines inline, with no call per value.
 When the two outputs compile alike and their per-term strengths are
 equal (a robot heading straight at the goal on a mirrored rule grid), one
-centroid serves both.  Only the cells whose two input degrees are both
-non-zero fire (at most four for a 50%-overlap partition), and each
-rule base keeps its last crisp result keyed by the two degree tuples, so
-a tick that repeats the previous tick's degrees (a robot on a saturated
-plateau of both inputs) reuses it.
+centroid serves both.  Each input is fuzzified sparsely, to the ``(term,
+degree)`` pairs of its non-zero degrees, so only the cells whose two
+degrees are both non-zero fire (at most four for a 50%-overlap partition),
+and each rule base keeps its last crisp result keyed by the two sparse
+tuples, so a tick that repeats the previous tick's degrees (a robot on a
+saturated plateau of both inputs) reuses it.
 All values are immutable, every function is pure and the result memo is a
 thread-safe ``functools.lru_cache``, so a rule base can be shared freely
 across threads.
@@ -44,7 +45,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ._limits import require_finite
-from .membership import LinguisticVariable, fuzzify
+from .membership import LinguisticVariable, _degrees
 
 if TYPE_CHECKING:
     from .rulebase import RuleBase
@@ -373,45 +374,44 @@ def _envelope_pieces(fired, lo, hi, step) -> list[tuple]:
 
 
 def _term_strengths(cells, n_right: int, n_left: int, angle, dist) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(right, left) per-term strengths from the two inputs' degrees: for
-    each output term, the max min-AND strength of the cells naming it.
+    """(right, left) per-term strengths from the two inputs' sparse degrees
+    (their ``(term, degree)`` pairs > 0.0): for each output term, the max
+    min-AND strength of the cells naming it.
 
-    Only cells whose two degrees are both > 0.0 fire.  Any other cell's
-    strength is 0.0 or -0.0, which cannot raise a max that starts at 0.0,
-    so the result equals firing every rule, bit for bit.  The min-AND is
-    ``b if b < a else a``, the comparison ``min(a, b)`` makes, with no
-    builtin call per cell.
+    Only those pairs' cells fire.  Any other cell's strength is 0.0 or
+    -0.0, which cannot raise a max that starts at 0.0, so the result equals
+    firing every rule, bit for bit.  The min-AND is ``b if b < a else a``,
+    the comparison ``min(a, b)`` makes, with no builtin call per cell.
     """
     right = [0.0] * n_right
     left = [0.0] * n_left
-    hot = [(d, deg) for d, deg in enumerate(dist) if deg > 0.0]
-    for row, deg in zip(cells, angle):
-        if deg > 0.0:
-            for d, d_deg in hot:
-                s = d_deg if d_deg < deg else deg
-                r, l = row[d]
-                if s > right[r]:
-                    right[r] = s
-                if s > left[l]:
-                    left[l] = s
+    for a, deg in angle:
+        row = cells[a]
+        for d, d_deg in dist:
+            s = d_deg if d_deg < deg else deg
+            r, l = row[d]
+            if s > right[r]:
+                right[r] = s
+            if s > left[l]:
+                left[l] = s
     return tuple(right), tuple(left)
 
 
 def _compile(cells, right_var: LinguisticVariable, left_var: LinguisticVariable
-             ) -> Callable[[tuple[float, ...], tuple[float, ...]], InferenceResult]:
+             ) -> Callable[[tuple[tuple[int, float], ...], tuple[tuple[int, float], ...]], InferenceResult]:
     """``outputs(angle, dist)``: the crisp ``InferenceResult`` for the two
-    inputs' degrees over the cell table ``cells[a][d] = (right, left)``
-    consequent term indices, memoised on the degrees."""
+    inputs' sparse degrees over the cell table ``cells[a][d] = (right,
+    left)`` consequent term indices, memoised on the degrees."""
     # right and left variables that compile alike share one compiled output
     right, left = _output(right_var), _output(left_var)
     left = right if left == right else left
     n_right, n_left = len(right_var.terms), len(left_var.terms)
     shared = left is right
 
-    # Keys compare by value, so degrees 0.0 and -0.0 share an entry: both
-    # leave their cells unfired, so the result is the same.  The memo
-    # holds the tables, not the rule base, so no reference cycle keeps a
-    # dropped base's compiled outputs alive.  ``_term_strengths`` and
+    # A sparse tuple holds every non-zero degree and no other, so two keys
+    # are equal exactly when the full degree tuples are equal by value.  The
+    # memo holds the tables, not the rule base, so no reference cycle keeps
+    # a dropped base's compiled outputs alive.  ``_term_strengths`` and
     # ``_centroid`` are module globals, looked up on every miss.
     # Strengths are never -0.0 or nan, so equal tuples are equal bit for
     # bit, and on one shared output they give one centroid.
@@ -434,4 +434,4 @@ def infer(rb: RuleBase, e_theta: float, e_d: float) -> InferenceResult:
         require_finite("e_theta", e_theta)
     if not math.isfinite(e_d):
         require_finite("e_d", e_d)
-    return rb.compiled(fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d))
+    return rb.compiled(_degrees(rb.angle_var, e_theta), _degrees(rb.distance_var, e_d))

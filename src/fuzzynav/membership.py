@@ -4,10 +4,14 @@ A linguistic variable partitions a closed real interval (its universe) into
 named overlapping fuzzy sets.  Only triangular membership functions are
 supported, with shoulder variants at the universe edges so that every point
 of the universe belongs to at least one set.
+
+Inference takes ``_degrees``: ``fuzzify``'s non-zero degrees alone, from a
+breakpoint table that names the few terms able to hold each point.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -97,19 +101,17 @@ class LinguisticVariable:
                 )
         self._check_coverage()
 
+    def _spans(self) -> list[tuple[float, float]]:
+        """Per term, the open interval where its membership can be positive:
+        (left, right), extended to infinity past a shoulder's flat side."""
+        return [(-math.inf if t.mf.is_left_shoulder else t.mf.left,
+                 math.inf if t.mf.is_right_shoulder else t.mf.right) for t in self.terms]
+
     def _check_coverage(self):
-        # Membership is positive on the open interval (left, right), extended
-        # to infinity past a shoulder's flat side.  Sweep the sorted spans and
-        # require them to chain across [lo, hi] with strict overlap.
-        spans = sorted(
-            (
-                -math.inf if t.mf.is_left_shoulder else t.mf.left,
-                math.inf if t.mf.is_right_shoulder else t.mf.right,
-            )
-            for t in self.terms
-        )
+        # Sweep the sorted spans and require them to chain across [lo, hi]
+        # with strict overlap.
         reach = self.lo
-        for start, end in spans:
+        for start, end in sorted(self._spans()):
             if start < reach:
                 reach = max(reach, end)
         if not reach > self.hi:
@@ -138,6 +140,34 @@ class LinguisticVariable:
              t.mf.is_left_shoulder, t.mf.is_right_shoulder)
             for t in self.terms
         )
+
+    @cached_property
+    def _segments(self) -> tuple[tuple[float, ...], tuple[tuple[tuple, ...], ...]]:
+        """The breakpoint table, built on first use: the spans' sorted finite
+        ends, and per open segment between them (a cut's segment is the one to
+        its right) the ``(k, *_table[k])`` rows whose span meets it."""
+        spans = self._spans()
+        cuts = sorted({end for span in spans for end in span if math.isfinite(end)})
+        rows = [(k, *row) for k, row in enumerate(self._table)]
+        segments = [tuple(row for row, (start, end) in zip(rows, spans) if start < b and end > a)
+                    for a, b in zip((-math.inf, *cuts), (*cuts, math.inf))]
+        return tuple(cuts), tuple(segments)
+
+
+def _degrees(var: LinguisticVariable, x: float) -> tuple[tuple[int, float], ...]:
+    """``(k, degree)`` per degree > 0.0 of ``fuzzify(var, x)``, in term order
+    and by its arithmetic, bit for bit, for a finite ``x``; only the terms
+    of the clamped ``x``'s segment of the breakpoint table are evaluated."""
+    xc = var.clamp(x)
+    cuts, segments = var._segments
+    degrees = []
+    for k, left, rise, right, fall, left_shoulder, right_shoulder in segments[bisect_right(cuts, xc)]:
+        up = 1.0 if left_shoulder else (xc - left) / rise
+        down = 1.0 if right_shoulder else (right - xc) / fall
+        deg = down if down < up else up
+        if deg > 0.0:
+            degrees.append((k, 1.0 if 1.0 < deg else deg))
+    return tuple(degrees)
 
 
 def fuzzify(var: LinguisticVariable, x: float) -> tuple[float, ...]:

@@ -74,10 +74,10 @@ class RuleBase:
         object.__setattr__(self, "_cells", cells)
 
     @cached_property
-    def compiled(self) -> Callable[[tuple[float, ...], tuple[float, ...]], InferenceResult]:
+    def compiled(self) -> Callable[[tuple[tuple[int, float], ...], tuple[tuple[int, float], ...]], InferenceResult]:
         """``compiled(angle, dist)``: the crisp ``InferenceResult`` for the
-        two inputs' degrees, memoised on them; built, with the compiled
-        outputs, on first use."""
+        two inputs' sparse degrees, ``(term, degree)`` per degree > 0.0,
+        memoised on them; built, with the compiled outputs, on first use."""
         return _compile(self._cells, self.right_var, self.left_var)
 
 

@@ -24,6 +24,10 @@ BENCHMARK_TRAJECTORY_SHA256 = {
     "trajectory_5.csv": "0bc9d3b2ecec9ae1d55e6b68d2ab21f83500c0d29523595ade4e833515dca94d",
     "trajectory_7.csv": "9d1f077ab0ff141c3cb18ad8a1ae481754f64af1fd75b5eefac0552fe84a2523",
 }
+# sha256 that ``tools/bit_digest.py`` prints for the 144-case map: each
+# case's reached state, ticks, final pose and path length, bit for bit.
+# The same on Python 3.10 to 3.13.
+MAP_SHA256 = "8a697672a05842ad7b52ff160a7322f776b4b3456bbb82cd66a1a11366925cd4"
 
 
 def write_benchmark_scenario(tmp_path, **overrides):
@@ -146,6 +150,15 @@ class TestCompareCommand:
         assert main(["compare", "--scenario", str(sc), "--out", str(out), "--quiet"]) == 0
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in BENCHMARK_TRAJECTORY_SHA256}
         assert got == BENCHMARK_TRAJECTORY_SHA256
+
+    def test_bit_digest_script_prints_the_pins(self):
+        # the script runs on the package this test imported, as it runs on an installed one
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+        out = subprocess.run([sys.executable, str(ROOT / "tools" / "bit_digest.py")],
+                             capture_output=True, text=True, timeout=120, env=env)
+        assert out.returncode == 0, out.stderr
+        want = [f"{name} {digest}" for name, digest in BENCHMARK_TRAJECTORY_SHA256.items()] + [f"map {MAP_SHA256}"]
+        assert out.stdout.splitlines() == want
 
     def test_trajectory_row_format_writes_the_bytes_of_format(self):
         # each row is one %-format of eight %.9g fields; on every float it must

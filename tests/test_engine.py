@@ -48,6 +48,12 @@ def brute_centroid(clips, lo, hi, n=100001):
     return float((xs * mu).sum() / mu.sum())
 
 
+def sparse(degrees):
+    """Full degree tuples, as ``fuzzify`` gives them, in the sparse form the
+    engine's private stages take: ``(term, degree)`` per degree > 0.0."""
+    return tuple((k, d) for k, d in enumerate(degrees) if d > 0.0)
+
+
 def aggregate(var, fired):
     """Defuzzify (label, strength) consequents of ``var`` through the memo ``infer`` calls.
 
@@ -70,7 +76,7 @@ def aggregate(var, fired):
             rules.append(Rule(f"A{i}", d, out, out))
     rb = RuleBase(angle, distance, var, var, tuple(rules))
     degrees = tuple(s for _, s in fired) + (0.0,) * (n - len(fired))
-    res = rb.compiled(degrees, fuzzify(distance, 0.0))
+    res = rb.compiled(sparse(degrees), sparse(fuzzify(distance, 0.0)))
     strengths = {}
     for label, s in fired:
         strengths[label] = max(s, strengths.get(label, 0.0))
@@ -81,7 +87,7 @@ def aggregate(var, fired):
 
 def per_term_strengths(rb, e_theta, e_d):
     """{label: strength} per output term, (right, left), from the engine's sparse firing."""
-    angle, dist = fuzzify(rb.angle_var, e_theta), fuzzify(rb.distance_var, e_d)
+    angle, dist = sparse(fuzzify(rb.angle_var, e_theta)), sparse(fuzzify(rb.distance_var, e_d))
     right, left = engine._term_strengths(rb._cells, len(rb.right_var.terms), len(rb.left_var.terms), angle, dist)
     return dict(zip(rb.right_var.labels, right)), dict(zip(rb.left_var.labels, left))
 
@@ -119,7 +125,7 @@ class TestFireRules:
         # angle degree 0.3 on P alone, distance degree 0.7 on F alone: only
         # rule (P, F) -> right F, left M fires, at min(0.3, 0.7)
         cells = builtin(3, d_max=10.0)._cells
-        angle, dist = (0.0, 0.0, 0.3), (0.0, 0.0, 0.7)  # terms N Z P; Z M F
+        angle, dist = sparse((0.0, 0.0, 0.3)), sparse((0.0, 0.0, 0.7))  # terms N Z P; Z M F
         assert engine._term_strengths(cells, 3, 3, angle, dist) == ((0.0, 0.0, 0.3), (0.0, 0.3, 0.0))
 
 
@@ -366,15 +372,15 @@ class TestSparseFiring:
         assert info.currsize == engine._MEMO_SIZE
 
     def test_infer_fuzzifies_through_the_module_binding(self, monkeypatch):
-        # a trace that wraps engine.fuzzify sees both inputs of every call,
+        # a trace that wraps engine._degrees sees both inputs of every call,
         # memo hits included
         calls = []
 
-        def counting(var, x):
+        def counting(var, x, _degrees=engine._degrees):
             calls.append(var.name)
-            return fuzzify(var, x)
+            return _degrees(var, x)
 
-        monkeypatch.setattr(engine, "fuzzify", counting)
+        monkeypatch.setattr(engine, "_degrees", counting)
         rb = builtin(5)
         infer(rb, 3.0, 30.0)
         infer(rb, 3.0, 30.0)
@@ -398,20 +404,20 @@ class TestSparseFiring:
 
 
 def mirrored_cases():
-    """(rule base, angle degrees, distance degrees) whose right and left
-    strengths are equal: straight ahead on a built-in, all-zero angle
-    degrees on builtin(3), so nothing fires and both outputs are flagged
-    (``fuzzify`` never returns them on a covered universe, so they go to
+    """(rule base, sparse angle degrees, sparse distance degrees) whose
+    right and left strengths are equal: straight ahead on a built-in, no
+    non-zero angle degree on builtin(3), so nothing fires and both outputs
+    are flagged (no point of a covered universe gives that, so it goes to
     the memo directly), and straight ahead on builtin(3) with a wider left
     range (two compiled outputs)."""
     def ahead(rb):
-        return rb, fuzzify(rb.angle_var, 0.0), fuzzify(rb.distance_var, 10.0)
+        return rb, sparse(fuzzify(rb.angle_var, 0.0)), sparse(fuzzify(rb.distance_var, 10.0))
 
     b3 = builtin(3, d_max=24.41)
     wide_left = render_rulebase(builtin(3)).replace("var left range 0.0 2.0", "var left range 0.0 3.0")
     return {
         "builtin(5) straight ahead": ahead(builtin(5, d_max=24.41)),
-        "nothing fired": (b3, (0.0, 0.0, 0.0), fuzzify(b3.distance_var, 10.0)),
+        "nothing fired": (b3, sparse((0.0, 0.0, 0.0)), sparse(fuzzify(b3.distance_var, 10.0))),
         "left range wider than right": ahead(parse_rulebase(wide_left)),
     }
 

@@ -12,7 +12,7 @@ from fuzzynav import LinguisticVariable, Term, TriangularMF, builtin, fuzzify, p
 from fuzzynav import membership
 from fuzzynav.rulebase import DEFAULT_V_MAX
 
-from test_engine import dense_rules_text
+from test_engine import dense_rules_text, sparse
 
 
 def holding(mf, lo=-10.0, hi=10.0):
@@ -222,6 +222,69 @@ print(membership.fuzzify(membership.uniform_variable("d", 0.0, 2.0, ("Z", "M", "
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["(0.0,", "0.5,", "0.5)"]
+
+
+def jittered_variable(rng, n):
+    """Dense terms, feet two peaks away, on peaks evenly spaced over [-3, 3]
+    with each interior one moved up to 30% of a gap, as the benchmark's
+    rules files place them; the edge terms are shoulders."""
+    gap = 6.0 / (n - 1)
+    peaks = [-3.0 + i * gap + (rng.uniform(-0.3, 0.3) * gap if 0 < i < n - 1 else 0.0) for i in range(n)]
+    feet = [(peaks[max(i - 2, 0)], peaks[min(i + 2, n - 1)]) for i in range(n)]
+    terms = tuple(Term(f"T{i}", TriangularMF(left, p, right)) for i, (p, (left, right)) in enumerate(zip(peaks, feet)))
+    return LinguisticVariable("jittered", -3.0, 3.0, terms)
+
+
+def degree_cases():
+    """``table_cases``, jittered dense variables, and shoulders whose flat
+    side runs inside the universe, under other terms."""
+    variables = table_cases()
+    rng = random.Random(41)
+    for n in (3, 5, 7):
+        for i in range(3):
+            variables[f"jittered {n} #{i}"] = jittered_variable(rng, n)
+    for mf in (TriangularMF(-2.0, -2.0, 3.0), TriangularMF(-3.0, 4.0, 4.0), TriangularMF(-10.0, -10.0, 0.0),
+               TriangularMF(0.0, 10.0, 10.0), TriangularMF(-1.0, 0.0, 1.0)):
+        variables[f"holding {mf.left} {mf.peak} {mf.right}"] = holding(mf)
+    return variables
+
+
+class TestSparseDegrees:
+    @pytest.mark.parametrize("name", sorted(degree_cases()))
+    def test_hex_equal_to_the_non_zero_degrees_of_fuzzify(self, name):
+        var = degree_cases()[name]
+        cuts, segments = var._segments
+        assert len(segments) == len(cuts) + 1
+        points = probe_points(var, seed=43) + list(cuts) + [-5e-324, 5e-324]
+        for x in points:
+            want = [(k, d.hex()) for k, d in sparse(fuzzify(var, x))]
+            assert [(k, d.hex()) for k, d in membership._degrees(var, x)] == want, x
+
+    def test_a_segment_holds_two_terms_of_a_builtin_and_four_of_a_dense_file(self):
+        # a point's degrees evaluate only the few terms that can hold it
+        for name, var in degree_cases().items():
+            if name.startswith(("builtin", "dense", "jittered")):
+                most = max(len(rows) for rows in var._segments[1])
+                assert most <= (2 if name.startswith("builtin") else 4), name
+
+    @pytest.mark.parametrize("name", ["builtin(7, d_max=24.41) angle", "builtin(3, d_max=3.0) distance",
+                                      "dense file angle", "nonpositive", "holding -2.0 -2.0 3.0"])
+    def test_sparse_keys_are_equal_exactly_when_full_tuples_are(self, name):
+        # the inference memo is keyed on the sparse degrees, so it must hit
+        # and miss exactly where a key of full tuples would
+        var = degree_cases()[name]
+        rng = random.Random(53)
+        width = var.hi - var.lo
+        pool = [0.0, -0.0, -5e-324, var.lo, var.hi] + [t.mf.peak for t in var.terms]
+        pool += [rng.uniform(var.lo - width, var.hi + width) for _ in range(60)]
+        points = [rng.choice(pool) for _ in range(150)] + pool
+        keys = [(fuzzify(var, x), membership._degrees(var, x)) for x in points]
+        equal_full = 0
+        for full_a, sparse_a in keys:
+            for full_b, sparse_b in keys:
+                assert (sparse_a == sparse_b) == (full_a == full_b)
+                equal_full += full_a == full_b
+        assert equal_full > 2 * len(keys)
 
 
 class TestVariableValidation:

@@ -5,10 +5,10 @@
 Each mutant names a source file, an anchor text that occurs exactly once
 in it, the text that replaces the anchor, and the test files expected to
 catch the change.  For each mutant the script copies ``src``, ``tests``,
-``demos``, ``docs``, ``README.md`` and ``pyproject.toml`` to a temporary
-directory, applies the mutant there and runs pytest on its test files,
-one process at a time.  The unmutated copy runs the same files first, so a
-suite that already fails cannot pass for a kill.
+``demos``, ``docs``, ``tools``, ``README.md`` and ``pyproject.toml`` to a
+temporary directory, applies the mutant there and runs pytest on its test
+files, one process at a time.  The unmutated copy runs the same files first,
+so a suite that already fails cannot pass for a kill.
 
 The mutants pin the comparisons the docs and docstrings state (inclusive
 or strict ties), the run's time and tick budgets, the distance floor of a
@@ -19,8 +19,10 @@ built-in rule bases that runs share and their keys, the inclusive ends of
 the magnitude bound and the size floor, the bound on a scenario's ``dt``,
 a built-in's angle band of (0, pi], the strict overlap a variable's terms
 need to cover their universe and the strictly increasing peaks of a
-uniform partition, the order a render writes terms and rules in, and the
-JSON name of a rejected scenario's type.  ``EQUIVALENT`` lists mutants that no test can kill, each
+uniform partition, the terms each segment of a variable's breakpoint table
+holds and the strictly positive degrees its sparse fuzzification keeps, the
+order a render writes terms and rules in, and the JSON name of a rejected
+scenario's type.  ``EQUIVALENT`` lists mutants that no test can kill, each
 with the reason; they are not run.
 
 Exits non-zero if any mutant survives, if any anchor is missing or occurs
@@ -38,7 +40,7 @@ import time
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COPIED = ("src", "tests", "demos", "docs", "README.md", "pyproject.toml")
+COPIED = ("src", "tests", "demos", "docs", "tools", "README.md", "pyproject.toml")
 
 
 class Mutant(NamedTuple):
@@ -92,6 +94,11 @@ MUTANTS = (
     Mutant(RULEBASE, "if not 0 < angle_band <= math.pi:",
            "if not 0 < angle_band < math.pi:", ("tests/test_rulebase.py",)),
     Mutant(MEMBERSHIP, "if start < reach:", "if start <= reach:", ("tests/test_membership.py",)),
+    # a segment of a variable's breakpoint table holds every term whose span
+    # meets it, so no term that can be positive there is dropped; and the
+    # sparse degrees keep the strictly positive ones alone
+    Mutant(MEMBERSHIP, "if start < b and end > a)", "if start < b and end > b)", ("tests/test_membership.py",)),
+    Mutant(MEMBERSHIP, "if deg > 0.0:", "if deg >= 0.0:", ("tests/test_membership.py",)),
     # the envelope takes clips of equal strength in the order of their runs
     # and lines (the rest of each flat clip tuple), so where two tie the
     # listing order cannot pick the owner;
