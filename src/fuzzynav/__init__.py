@@ -24,8 +24,6 @@ from .ruleformat import Issue, RuleDefinitionError, parse_rulebase, render_ruleb
 from .kinematics import (
     Pose,
     RobotParams,
-    Twist,
-    WheelSpeeds,
     curvature_radius,
     step_euler,
     step_exact,
@@ -66,8 +64,6 @@ __all__ = [
     "Term",
     "TrajectorySample",
     "TriangularMF",
-    "Twist",
-    "WheelSpeeds",
     "benchmark_scenario",
     "builtin",
     "compare",

@@ -1,10 +1,12 @@
-"""Differential-drive kinematics.
+"""Differential-drive kinematics on plain floats.
 
-Wheel speeds map to a body twist (v, omega), which integrates the planar
-pose (x, y, theta).  Two integrators are provided: explicit Euler, used by
-the simulation loop, and the exact constant-twist arc, used as a reference.
-Sign convention: omega = (v_r - v_l) / L, so a faster right wheel turns the
-robot counterclockwise, and the curvature radius satisfies v = omega * R.
+Wheel speeds (v_l, v_r) map to a body twist (v, omega), which moves the
+planar pose (x, y, theta).  Two integrators are provided: explicit Euler,
+which the simulation loop steps through, and the exact constant-twist arc,
+used as a reference.  Sign convention: omega = (v_r - v_l) / L, so a faster
+right wheel turns the robot counterclockwise, and the curvature radius
+satisfies v = omega * R.  Both steps reject dt <= 0 and return theta
+wrapped to (-pi, pi]; every other input is an unchecked float.
 """
 from __future__ import annotations
 
@@ -15,8 +17,6 @@ from ._limits import require_finite
 
 __all__ = [
     "Pose",
-    "WheelSpeeds",
-    "Twist",
     "RobotParams",
     "wrap_angle",
     "wheel_to_twist",
@@ -54,30 +54,6 @@ class Pose:
 
 
 @dataclass(frozen=True)
-class WheelSpeeds:
-    """Linear rim speeds of the two wheels, m/s."""
-
-    v_l: float
-    v_r: float
-
-    def __post_init__(self):
-        require_finite("v_l", self.v_l)
-        require_finite("v_r", self.v_r)
-
-
-@dataclass(frozen=True)
-class Twist:
-    """Body velocity: linear v (m/s) along heading, angular omega (rad/s)."""
-
-    v: float
-    omega: float
-
-    def __post_init__(self):
-        require_finite("v", self.v)
-        require_finite("omega", self.omega)
-
-
-@dataclass(frozen=True)
 class RobotParams:
     """Geometry and actuation limits of the robot.
 
@@ -93,50 +69,41 @@ class RobotParams:
             require_finite(name, getattr(self, name), bounded=True, floored=True)
 
 
-def _twist(v_l: float, v_r: float, wheel_base: float) -> tuple[float, float]:
+def wheel_to_twist(v_l: float, v_r: float, wheel_base: float) -> tuple[float, float]:
+    """Body twist (v, omega) of wheel rim speeds: v = (v_r + v_l)/2, omega = (v_r - v_l)/L."""
     return (v_r + v_l) / 2.0, (v_r - v_l) / wheel_base
 
 
-def wheel_to_twist(ws: WheelSpeeds, p: RobotParams) -> Twist:
-    """v = (v_r + v_l)/2, omega = (v_r - v_l)/L."""
-    return Twist(*_twist(ws.v_l, ws.v_r, p.wheel_base))
+def curvature_radius(v: float, omega: float) -> float:
+    """Turn radius about the ICC, measured at the axle midpoint: R = v / omega.
 
-
-def curvature_radius(ws: WheelSpeeds, p: RobotParams) -> float:
-    """Instantaneous turn radius about the ICC, measured at the axle midpoint.
-
-    R = L (v_r + v_l) / (2 (v_r - v_l)), i.e. R = v / omega.  Straight-line
-    motion (equal wheel speeds) returns math.inf.
+    Straight-line motion, |omega| strictly below OMEGA_STRAIGHT_TOL, returns
+    math.inf, as ``step_exact`` steps straight there.
     """
-    diff = ws.v_r - ws.v_l
-    if abs(diff) < OMEGA_STRAIGHT_TOL:
-        return math.inf
-    return p.wheel_base * (ws.v_r + ws.v_l) / (2.0 * diff)
+    return math.inf if abs(omega) < OMEGA_STRAIGHT_TOL else v / omega
 
 
-def _euler(x: float, y: float, theta: float, v: float, omega: float, dt: float) -> tuple[float, float, float]:
-    """``step_euler`` on plain floats, unchecked; theta comes back wrapped."""
-    return x + v * math.cos(theta) * dt, y + v * math.sin(theta) * dt, wrap_angle(theta + omega * dt)
-
-
-def step_euler(pose: Pose, tw: Twist, dt: float) -> Pose:
+def step_euler(x: float, y: float, theta: float, v: float, omega: float, dt: float) -> tuple[float, float, float]:
     """Explicit-Euler pose update over one step of length dt."""
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    return Pose(*_euler(pose.x, pose.y, pose.theta, tw.v, tw.omega, dt))
+    return x + v * math.cos(theta) * dt, y + v * math.sin(theta) * dt, wrap_angle(theta + omega * dt)
 
 
-def step_exact(pose: Pose, tw: Twist, dt: float) -> Pose:
-    """Exact pose update for a twist held constant over dt (circular arc)."""
+def step_exact(x: float, y: float, theta: float, v: float, omega: float, dt: float) -> tuple[float, float, float]:
+    """Exact pose update for a twist held constant over dt (circular arc).
+
+    Below OMEGA_STRAIGHT_TOL the arc counts as straight and the Euler step
+    is taken.
+    """
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    if abs(tw.omega) < OMEGA_STRAIGHT_TOL:
-        return step_euler(pose, tw, dt)
-    theta1 = pose.theta + tw.omega * dt
-    radius = tw.v / tw.omega
-    return Pose(
-        pose.x + radius * (math.sin(theta1) - math.sin(pose.theta)),
-        pose.y - radius * (math.cos(theta1) - math.cos(pose.theta)),
-        theta1,
+    if abs(omega) < OMEGA_STRAIGHT_TOL:
+        return step_euler(x, y, theta, v, omega, dt)
+    theta1 = theta + omega * dt
+    radius = v / omega
+    return (
+        x + radius * (math.sin(theta1) - math.sin(theta)),
+        y - radius * (math.cos(theta1) - math.cos(theta)),
+        wrap_angle(theta1),
     )
-

@@ -2,9 +2,10 @@
 
 A scenario fixes the start pose, goal, timing, tolerances, robot geometry
 and controller choice.  ``run`` integrates the loop (errors -> inference ->
-twist -> Euler step) until the goal disc is reached or time runs out, and
-reports the trajectory plus summary metrics.  ``compare`` reruns one
-scenario with each built-in controller.  Everything here is deterministic:
+twist -> Euler step, the last two through the public kinematic model
+``wheel_to_twist`` and ``step_euler``) until the goal disc is reached or
+time runs out, and reports the trajectory plus summary metrics.
+``compare`` reruns one scenario with each built-in controller.  Everything here is deterministic:
 identical scenarios produce identical trajectories, bit for bit.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ._limits import require_finite
-from .kinematics import Pose, RobotParams, _euler, _twist
+from .kinematics import Pose, RobotParams, step_euler, wheel_to_twist
 from .navigator import Goal, compute_errors, control_step
 from .rulebase import BUILTIN_SIZES, RuleBase, builtin
 from .ruleformat import parse_rulebase
@@ -204,7 +205,7 @@ def run(sc: Scenario) -> tuple[list[TrajectorySample], Metrics]:
             break
         v_l, v_r = control_step(rb, e_d, e_theta)
         trajectory.append(TrajectorySample(t, x, y, theta, e_d, e_theta, v_l, v_r))
-        new_x, new_y, theta = _euler(x, y, theta, *_twist(v_l, v_r, wheel_base), dt)
+        new_x, new_y, theta = step_euler(x, y, theta, *wheel_to_twist(v_l, v_r, wheel_base), dt)
         path_length += math.hypot(new_x - x, new_y - y)
         x, y = new_x, new_y
         k += 1

@@ -11,11 +11,8 @@ import numpy as np
 
 from fuzzynav import (
     LinguisticVariable,
-    Pose,
     Term,
     TriangularMF,
-    Twist,
-    WheelSpeeds,
     benchmark_scenario,
     builtin,
     compare,
@@ -93,12 +90,12 @@ def test_kinematics_oracle():
     rng = np.random.default_rng(11)
     orders = []
     for _ in range(100):
-        pose = Pose(*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
-        tw = Twist(rng.uniform(0.5, 2.0) * rng.choice([-1, 1]), rng.uniform(0.5, 2.0) * rng.choice([-1, 1]))
+        pose = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+        tw = (rng.uniform(0.5, 2.0) * rng.choice([-1, 1]), rng.uniform(0.5, 2.0) * rng.choice([-1, 1]))
 
         def gap(dt):
-            a, b = step_euler(pose, tw, dt), step_exact(pose, tw, dt)
-            return math.hypot(a.x - b.x, a.y - b.y)
+            a, b = step_euler(*pose, *tw, dt), step_exact(*pose, *tw, dt)
+            return math.hypot(a[0] - b[0], a[1] - b[1])
 
         orders.append(math.log2(gap(0.02) / gap(0.01)))
     assert all(1.7 <= o <= 2.3 for o in orders)
@@ -106,10 +103,10 @@ def test_kinematics_oracle():
     params = RobotParams()
     for _ in range(100):
         speed = rng.uniform(-2, 2)
-        tw = wheel_to_twist(WheelSpeeds(speed, speed), params)
-        pose = Pose(*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
-        assert step_euler(pose, tw, 0.1).theta - pose.theta == 0.0
-        assert step_exact(pose, tw, 0.1).theta - pose.theta == 0.0
+        tw = wheel_to_twist(speed, speed, params.wheel_base)
+        pose = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+        assert step_euler(*pose, *tw, 0.1)[2] - pose[2] == 0.0
+        assert step_exact(*pose, *tw, 0.1)[2] - pose[2] == 0.0
     ok(
         f"kinematics oracle: euler->exact order in [{min(orders):.2f}, {max(orders):.2f}] "
         f"within [1.7, 2.3]; equal wheels give |dtheta| = 0 exactly ({time.perf_counter() - t0:.2f} s)"

@@ -6,126 +6,126 @@ import pytest
 from fuzzynav import (
     Pose,
     RobotParams,
-    Twist,
-    WheelSpeeds,
     curvature_radius,
     step_euler,
     step_exact,
     wheel_to_twist,
     wrap_angle,
 )
+from fuzzynav.kinematics import OMEGA_STRAIGHT_TOL
 
 P = RobotParams(wheel_base=0.5, wheel_radius=0.1, v_max=2.0)
+L = P.wheel_base
 
 
 class TestWheelToTwist:
     def test_straight_line(self):
-        tw = wheel_to_twist(WheelSpeeds(1.0, 1.0), P)
-        assert tw.v == 1.0 and tw.omega == 0.0
+        assert wheel_to_twist(1.0, 1.0, L) == (1.0, 0.0)
 
     def test_spin_in_place(self):
-        tw = wheel_to_twist(WheelSpeeds(-1.0, 1.0), P)
-        assert tw.v == 0.0 and tw.omega == 4.0
+        assert wheel_to_twist(-1.0, 1.0, L) == (0.0, 4.0)
 
     def test_hand_substitution(self):
-        tw = wheel_to_twist(WheelSpeeds(v_l=1.0, v_r=2.0), P)
-        assert tw.v == 1.5 and tw.omega == 2.0
+        assert wheel_to_twist(v_l=1.0, v_r=2.0, wheel_base=L) == (1.5, 2.0)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             a, b = rng.uniform(-3, 3, 2)
-            w1 = WheelSpeeds(*rng.uniform(-2, 2, 2))
-            w2 = WheelSpeeds(*rng.uniform(-2, 2, 2))
-            combo = WheelSpeeds(a * w1.v_l + b * w2.v_l, a * w1.v_r + b * w2.v_r)
-            t1, t2, tc = (wheel_to_twist(w, P) for w in (w1, w2, combo))
-            assert math.isclose(tc.v, a * t1.v + b * t2.v, abs_tol=1e-12)
-            assert math.isclose(tc.omega, a * t1.omega + b * t2.omega, abs_tol=1e-12)
+            w1 = rng.uniform(-2, 2, 2)
+            w2 = rng.uniform(-2, 2, 2)
+            combo = a * w1 + b * w2
+            t1, t2, tc = (wheel_to_twist(*w, L) for w in (w1, w2, combo))
+            assert math.isclose(tc[0], a * t1[0] + b * t2[0], abs_tol=1e-12)
+            assert math.isclose(tc[1], a * t1[1] + b * t2[1], abs_tol=1e-12)
+
+
+def radius_from_wheels(v_l, v_r, wheel_base):
+    """R from the wheel speeds: L (v_r + v_l) / (2 (v_r - v_l))."""
+    return wheel_base * (v_r + v_l) / (2.0 * (v_r - v_l))
 
 
 class TestCurvatureRadius:
     def test_straight_is_infinite(self):
-        assert curvature_radius(WheelSpeeds(1.3, 1.3), P) == math.inf
+        assert curvature_radius(*wheel_to_twist(1.3, 1.3, L)) == math.inf
 
-    def test_hand_value_and_twist_consistency(self):
-        ws = WheelSpeeds(v_l=1.0, v_r=2.0)
-        assert math.isclose(curvature_radius(ws, P), 0.75, abs_tol=1e-15)
-        tw = wheel_to_twist(ws, P)
-        assert math.isclose(curvature_radius(ws, P), tw.v / tw.omega, abs_tol=1e-12)
+    def test_hand_value_and_wheel_speed_consistency(self):
+        v, omega = wheel_to_twist(v_l=1.0, v_r=2.0, wheel_base=L)
+        assert math.isclose(curvature_radius(v, omega), 0.75, abs_tol=1e-15)
+        assert math.isclose(curvature_radius(v, omega), radius_from_wheels(1.0, 2.0, L), abs_tol=1e-12)
 
     def test_pure_rotation_is_zero(self):
-        assert curvature_radius(WheelSpeeds(-0.7, 0.7), P) == 0.0
+        assert curvature_radius(*wheel_to_twist(-0.7, 0.7, L)) == 0.0
 
-    def test_difference_equal_to_the_straight_tolerance_turns(self):
-        # only a difference strictly below OMEGA_STRAIGHT_TOL counts as straight
-        assert curvature_radius(WheelSpeeds(0.0, 1e-12), RobotParams(wheel_base=1.0)) == 0.5
+    def test_omega_equal_to_the_straight_tolerance_turns(self):
+        # only |omega| strictly below OMEGA_STRAIGHT_TOL counts as straight,
+        # the same test step_exact makes
+        assert curvature_radius(*wheel_to_twist(0.0, 1e-12, 1.0)) == 0.5
+        assert curvature_radius(1.0, -OMEGA_STRAIGHT_TOL) == 1.0 / -OMEGA_STRAIGHT_TOL
+        below = math.nextafter(OMEGA_STRAIGHT_TOL, 0.0)
+        assert curvature_radius(1.0, below) == curvature_radius(1.0, -below) == math.inf
 
     def test_consistency_on_random_speeds(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            ws = WheelSpeeds(*rng.uniform(-2, 2, 2))
-            if abs(ws.v_r - ws.v_l) < 1e-9:
+            v_l, v_r = rng.uniform(-2, 2, 2)
+            if abs(v_r - v_l) < 1e-9:
                 continue
-            tw = wheel_to_twist(ws, P)
-            assert math.isclose(curvature_radius(ws, P), tw.v / tw.omega, abs_tol=1e-12)
+            radius = curvature_radius(*wheel_to_twist(v_l, v_r, L))
+            assert math.isclose(radius, radius_from_wheels(v_l, v_r, L), abs_tol=1e-12)
 
 
 class TestStepEuler:
     def test_straight_step(self):
-        pose = step_euler(Pose(0, 0, 0), Twist(1.0, 0.0), 0.1)
-        assert (pose.x, pose.y, pose.theta) == (0.1, 0.0, 0.0)
+        assert step_euler(0.0, 0.0, 0.0, 1.0, 0.0, 0.1) == (0.1, 0.0, 0.0)
 
     def test_pure_turn_step(self):
-        pose = step_euler(Pose(0, 0, 0), Twist(0.0, 1.0), 0.1)
-        assert (pose.x, pose.y, pose.theta) == (0.0, 0.0, 0.1)
+        assert step_euler(0.0, 0.0, 0.0, 0.0, 1.0, 0.1) == (0.0, 0.0, 0.1)
 
     def test_arc_tracking_error_bound(self):
         # 100 steps of dt=0.01 along a unit circle arc; regression bound 0.02 m
-        pose = Pose(0, 0, 0)
-        tw = Twist(1.0, 1.0)
+        pose = (0.0, 0.0, 0.0)
         for _ in range(100):
-            pose = step_euler(pose, tw, 0.01)
-        exact = step_exact(Pose(0, 0, 0), tw, 1.0)
-        err = math.hypot(pose.x - exact.x, pose.y - exact.y)
+            pose = step_euler(*pose, 1.0, 1.0, 0.01)
+        exact = step_exact(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+        err = math.hypot(pose[0] - exact[0], pose[1] - exact[1])
         assert err <= 0.02
 
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            step_euler(Pose(0, 0, 0), Twist(1, 0), 0.0)
+    @pytest.mark.parametrize("step", [step_euler, step_exact])
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+    def test_rejects_nonpositive_dt(self, step, dt):
         with pytest.raises(ValueError, match="^dt must be > 0$"):
-            step_exact(Pose(0, 0, 0), Twist(1, 1), 0.0)
+            step(0.0, 0.0, 0.0, 1.0, 1.0, dt)
 
 
 class TestStepExact:
     def test_zero_omega_reduces_to_euler(self):
-        pose = Pose(0.3, -0.2, 0.7)
-        tw = Twist(1.2, 0.0)
-        assert step_exact(pose, tw, 0.25) == step_euler(pose, tw, 0.25)
+        pose = (0.3, -0.2, 0.7)
+        assert step_exact(*pose, 1.2, 0.0, 0.25) == step_euler(*pose, 1.2, 0.0, 0.25)
 
     def test_omega_equal_to_the_straight_tolerance_takes_the_arc(self):
         # only |omega| strictly below OMEGA_STRAIGHT_TOL steps straight; over
         # 1e6 s the arc bends 0.5 m off the straight line Euler follows
-        pose, tw = Pose(0, 0, 0), Twist(1.0, 1e-12)
-        assert step_exact(pose, tw, 1e6).y == pytest.approx(0.5, abs=1e-3)
-        assert step_euler(pose, tw, 1e6).y == 0.0
+        assert step_exact(0.0, 0.0, 0.0, 1.0, 1e-12, 1e6)[1] == pytest.approx(0.5, abs=1e-3)
+        assert step_euler(0.0, 0.0, 0.0, 1.0, 1e-12, 1e6)[1] == 0.0
 
     def test_half_circle(self):
-        pose = step_exact(Pose(0, 0, 0), Twist(1.0, 1.0), math.pi)
-        assert abs(pose.x - 0.0) <= 1e-12
-        assert abs(pose.y - 2.0) <= 1e-12
-        assert pose.theta == math.pi
+        x, y, theta = step_exact(0.0, 0.0, 0.0, 1.0, 1.0, math.pi)
+        assert abs(x - 0.0) <= 1e-12
+        assert abs(y - 2.0) <= 1e-12
+        assert theta == math.pi
 
     def test_flow_property(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            pose = Pose(*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
-            tw = Twist(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            pose = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+            tw = (rng.uniform(-2, 2), rng.uniform(-2, 2))
             dt = rng.uniform(0.01, 1.0)
-            two_half = step_exact(step_exact(pose, tw, dt / 2), tw, dt / 2)
-            one_full = step_exact(pose, tw, dt)
-            assert math.isclose(two_half.x, one_full.x, abs_tol=1e-12)
-            assert math.isclose(two_half.y, one_full.y, abs_tol=1e-12)
-            assert abs(wrap_angle(two_half.theta - one_full.theta)) <= 1e-12
+            two_half = step_exact(*step_exact(*pose, *tw, dt / 2), *tw, dt / 2)
+            one_full = step_exact(*pose, *tw, dt)
+            assert math.isclose(two_half[0], one_full[0], abs_tol=1e-12)
+            assert math.isclose(two_half[1], one_full[1], abs_tol=1e-12)
+            assert abs(wrap_angle(two_half[2] - one_full[2])) <= 1e-12
 
 
 class TestIntegratorAgreement:
@@ -134,15 +134,14 @@ class TestIntegratorAgreement:
         rng = np.random.default_rng(11)
         orders = []
         for _ in range(100):
-            pose = Pose(*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+            pose = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
             v = rng.uniform(0.5, 2.0) * rng.choice([-1, 1])
             omega = rng.uniform(0.5, 2.0) * rng.choice([-1, 1])
-            tw = Twist(v, omega)
 
             def gap(dt):
-                a = step_euler(pose, tw, dt)
-                b = step_exact(pose, tw, dt)
-                return math.hypot(a.x - b.x, a.y - b.y)
+                a = step_euler(*pose, v, omega, dt)
+                b = step_exact(*pose, v, omega, dt)
+                return math.hypot(a[0] - b[0], a[1] - b[1])
 
             order = math.log2(gap(0.02) / gap(0.01))
             orders.append(order)
@@ -152,15 +151,15 @@ class TestIntegratorAgreement:
         rng = np.random.default_rng(13)
         for _ in range(100):
             speed = rng.uniform(-2, 2)
-            tw = wheel_to_twist(WheelSpeeds(speed, speed), P)
-            pose = Pose(*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+            tw = wheel_to_twist(speed, speed, L)
+            x, y, theta = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
             for step in (step_euler, step_exact):
-                nxt = step(pose, tw, 0.1)
-                assert nxt.theta == pose.theta  # exact, not approximate
+                nx, ny, ntheta = step(x, y, theta, *tw, 0.1)
+                assert ntheta == theta  # exact, not approximate
                 # displacement collinear with heading (forward or reverse)
                 if speed != 0.0:
-                    ang = math.atan2(nxt.y - pose.y, nxt.x - pose.x)
-                    off = abs(wrap_angle(ang - pose.theta))
+                    ang = math.atan2(ny - y, nx - x)
+                    off = abs(wrap_angle(ang - theta))
                     assert off <= 1e-12 or abs(off - math.pi) <= 1e-12
 
 
@@ -187,10 +186,6 @@ class TestTypesAndWrap:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            WheelSpeeds(math.nan, 0.0)
-        with pytest.raises(ValueError):
-            Twist(0.0, math.inf)
-        with pytest.raises(ValueError):
             Pose(math.inf, 0.0, 0.0)
 
     def test_params_validated(self):
@@ -211,8 +206,8 @@ class TestHeadingStaysWrapped:
         # spinning hard for many steps must keep theta in (-pi, pi]
         rng = np.random.default_rng(19)
         for step in (step_euler, step_exact):
-            pose = Pose(0, 0, 3.0)
+            pose = (0.0, 0.0, 3.0)
             for _ in range(500):
-                tw = Twist(rng.uniform(-2, 2), rng.uniform(-4, 4))
-                pose = step(pose, tw, 0.1)
-                assert -math.pi < pose.theta <= math.pi
+                v, omega = rng.uniform(-2, 2), rng.uniform(-4, 4)
+                pose = step(*pose, v, omega, 0.1)
+                assert -math.pi < pose[2] <= math.pi

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 import logging
@@ -30,7 +31,8 @@ from fuzzynav import (
     scenario_from_dict,
     uniform_variable,
 )
-from fuzzynav import engine
+from fuzzynav import engine, simulation
+from fuzzynav.kinematics import step_euler, wheel_to_twist
 from fuzzynav.rulebase import BUILTIN_SIZES
 from fuzzynav.simulation import BUILTIN_CONTROLLERS, MAX_TICKS, initial_distance, resolve_controller
 
@@ -488,6 +490,77 @@ def test_engine_work_per_run_is_pinned(case, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
     assert runs[0] == runs[1]
     assert runs[0][1:] == PINNED_WORK[case]
+
+
+def bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("controller", BUILTIN_CONTROLLERS)
+def test_loop_steps_through_the_public_kinematic_model(controller, monkeypatch):
+    # replaying the recorded wheel speeds through wheel_to_twist and
+    # step_euler from the start pose gives every recorded pose and the
+    # path length bit for bit, and run reaches both through the names
+    # its module binds
+    calls = {"wheel_to_twist": 0, "step_euler": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(simulation, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(simulation, name, counting)
+    sc = benchmark_scenario(controller)
+    traj, m = run(sc)
+    assert calls == dict.fromkeys(calls, len(traj) - 1)
+    x, y, theta = sc.start.x, sc.start.y, sc.start.theta
+    path_length = 0.0
+    for sample in traj[:-1]:
+        assert bits(sample.x, sample.y, sample.theta) == bits(x, y, theta)
+        new_x, new_y, theta = step_euler(x, y, theta, *wheel_to_twist(sample.v_l, sample.v_r, sc.params.wheel_base),
+                                         sc.dt)
+        path_length += math.hypot(new_x - x, new_y - y)
+        x, y = new_x, new_y
+    assert bits(traj[-1].x, traj[-1].y, traj[-1].theta) == bits(x, y, theta)
+    assert bits(m.path_length) == bits(path_length)
+
+
+def _bit_digest():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "bit_digest.py")
+    spec = importlib.util.spec_from_file_location("bit_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _moved(sc, phi, tx, ty):
+    """``sc`` with its start and goal rotated by ``phi`` about the origin, then shifted by (tx, ty)."""
+    cos, sin = math.cos(phi), math.sin(phi)
+    s, g = sc.start, sc.goal
+    return replace(sc, start=Pose(s.x * cos - s.y * sin + tx, s.x * sin + s.y * cos + ty, s.theta + phi),
+                   goal=Goal(g.x * cos - g.y * sin + tx, g.x * sin + g.y * cos + ty))
+
+
+# (rotation in rad, then translation in m)
+RIGID_MOTIONS = ((0.3, 0.0, 0.0), (0.0, 100.0, -50.0), (2.0, 1000.0, 1000.0))
+
+
+def test_map_is_invariant_under_rigid_motions():
+    # the loop reads only (e_d, e_theta), so moving start and goal together
+    # changes no case's reached state or tick count on the map
+    tool = _bit_digest()
+    changed, cases = [], 0
+    for c in tool.CONTROLLERS:
+        for distance in tool.DISTANCES:
+            for bearing in tool.BEARINGS:
+                sc = benchmark_scenario(c, bearing, distance)
+                traj, m = run(sc)
+                for motion in RIGID_MOTIONS:
+                    moved_traj, moved_m = run(_moved(sc, *motion))
+                    if (moved_m.reached, len(moved_traj)) != (m.reached, len(traj)):
+                        changed.append((c, bearing, distance, motion))
+                cases += 1
+    assert cases == 144
+    assert changed == []
 
 
 class TestBenchmarkScenario:

@@ -69,10 +69,12 @@ RULEFORMAT = "src/fuzzynav/ruleformat.py"
 MUTANTS = (
     Mutant(KINEMATICS, "return math.pi if wrapped <= -math.pi else wrapped",
            "return math.pi if wrapped < -math.pi else wrapped", ("tests/test_kinematics.py",)),
-    Mutant(KINEMATICS, "if abs(diff) < OMEGA_STRAIGHT_TOL:",
-           "if abs(diff) <= OMEGA_STRAIGHT_TOL:", ("tests/test_kinematics.py",)),
-    Mutant(KINEMATICS, "if abs(tw.omega) < OMEGA_STRAIGHT_TOL:",
-           "if abs(tw.omega) <= OMEGA_STRAIGHT_TOL:", ("tests/test_kinematics.py",)),
+    # curvature_radius and step_exact make the same strict test, worded
+    # differently so that each anchor occurs once
+    Mutant(KINEMATICS, "math.inf if abs(omega) < OMEGA_STRAIGHT_TOL else",
+           "math.inf if abs(omega) <= OMEGA_STRAIGHT_TOL else", ("tests/test_kinematics.py",)),
+    Mutant(KINEMATICS, "if abs(omega) < OMEGA_STRAIGHT_TOL:",
+           "if abs(omega) <= OMEGA_STRAIGHT_TOL:", ("tests/test_kinematics.py",)),
     Mutant(NAVIGATOR, "if e_d < COINCIDENT_TOL:",
            "if e_d <= COINCIDENT_TOL:", ("tests/test_navigator.py",)),
     Mutant(SIMULATION, "reached = e_d <= sc.goal_tol",
