@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -15,19 +14,6 @@ from fuzzynav import cli
 from fuzzynav.cli import CSV_HEADER, main
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# sha256 of the trajectories ``fuzzynav compare`` writes for the benchmark
-# scenario (Python 3.11).  A speed-up must leave these bytes as
-# they are; a deliberate change to them is re-recorded here and listed.
-BENCHMARK_TRAJECTORY_SHA256 = {
-    "trajectory_3.csv": "45f120cc06da4d97153dc7bd0ce6b1b2a7989bb95eb192f299452391e63f14d7",
-    "trajectory_5.csv": "0bc9d3b2ecec9ae1d55e6b68d2ab21f83500c0d29523595ade4e833515dca94d",
-    "trajectory_7.csv": "9d1f077ab0ff141c3cb18ad8a1ae481754f64af1fd75b5eefac0552fe84a2523",
-}
-# sha256 that ``tools/bit_digest.py`` prints for the 144-case map: each
-# case's reached state, ticks, final pose and path length, bit for bit.
-# The same on Python 3.10 to 3.13.
-MAP_SHA256 = "8a697672a05842ad7b52ff160a7322f776b4b3456bbb82cd66a1a11366925cd4"
 
 
 def write_benchmark_scenario(tmp_path, **overrides):
@@ -144,25 +130,9 @@ class TestCompareCommand:
         ):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
-    def test_benchmark_trajectory_bytes_are_pinned(self, tmp_path):
-        out = tmp_path / "cmp"
-        sc = ROOT / "demos" / "benchmark_scenario.json"
-        assert main(["compare", "--scenario", str(sc), "--out", str(out), "--quiet"]) == 0
-        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in BENCHMARK_TRAJECTORY_SHA256}
-        assert got == BENCHMARK_TRAJECTORY_SHA256
-
-    def test_bit_digest_script_prints_the_pins(self):
-        # the script runs on the package this test imported, as it runs on an installed one
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-        out = subprocess.run([sys.executable, str(ROOT / "tools" / "bit_digest.py")],
-                             capture_output=True, text=True, timeout=120, env=env)
-        assert out.returncode == 0, out.stderr
-        want = [f"{name} {digest}" for name, digest in BENCHMARK_TRAJECTORY_SHA256.items()] + [f"map {MAP_SHA256}"]
-        assert out.stdout.splitlines() == want
-
     def test_trajectory_row_format_writes_the_bytes_of_format(self):
         # each row is one %-format of eight %.9g fields; on every float it must
-        # give format(v, ".9g"), so the pinned bytes above cannot move
+        # give format(v, ".9g"), so the bytes pinned in tests/pins/closed_loop.txt cannot move
         rng = random.Random(97)
         values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310, 1e300, -1e300,
                   1.7976931348623157e308, 0.1, 26.3, 1e16, 123456789.5]

@@ -432,30 +432,6 @@ class TestScenarioConfig:
         assert load_scenario(str(path)) == scenario_from_dict(self.base_config())
 
 
-# Numerically sensitive runs under the 8001-point centroid quadrature:
-# (controller, bearing, distance) -> (reached, samples, path_length); None
-# is the paper geometry.  The orbiting 0.5 m starts circle the goal for the
-# whole 120 s, so a change in the ninth digit of a defuzzified speed shows.
-PINNED_RUNS = {
-    ("3", None, None): (True, 264, 24.456218166335173),
-    ("5", None, None): (True, 328, 24.41570846254852),
-    ("7", None, None): (True, 373, 24.419888464978317),
-    ("3", -math.pi + 5 * 2 * math.pi / 256, 0.5): (False, 1201, 152.67049149171058),
-    ("7", -math.pi + 36 * 2 * math.pi / 256, 0.5): (False, 1201, 131.82259499864858),
-}
-
-
-@pytest.mark.parametrize("case", PINNED_RUNS, ids=lambda c: f"{c[0]}mf-{'paper' if c[1] is None else 'orbit'}")
-def test_numerically_sensitive_runs_are_pinned(case):
-    controller, bearing, distance = case
-    sc = benchmark_scenario(controller) if bearing is None else benchmark_scenario(controller, bearing, distance)
-    reached, samples, path_length = PINNED_RUNS[case]
-    traj, m = run(sc)
-    assert m.reached == reached
-    assert len(traj) == samples
-    assert abs(m.path_length - path_length) <= 1e-9
-
-
 # The engine's work on a closed loop: (controller, straight behind at 3 m)
 # -> (ticks, rule firings, centroids).  The paper runs fire once per tick;
 # a memo that stopped hitting on the plateau ticks of a turn on the spot
@@ -524,12 +500,58 @@ def test_loop_steps_through_the_public_kinematic_model(controller, monkeypatch):
     assert bits(m.path_length) == bits(path_length)
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# what ``python tools/bit_digest.py`` prints: the benchmark trajectories'
+# sha256, then one line per map and orbit case, final bits in hex
+PIN_FILE = os.path.join(ROOT, "tests", "pins", "closed_loop.txt")
+
+
 def _bit_digest():
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "bit_digest.py")
-    spec = importlib.util.spec_from_file_location("bit_digest", path)
+    spec = importlib.util.spec_from_file_location("bit_digest", os.path.join(ROOT, "tools", "bit_digest.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _pinned_lines():
+    with open(PIN_FILE, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def _pin_mismatches(pinned, current):
+    """One entry per case whose pinned and current lines differ: the case, then both lines."""
+    def by_case(lines):
+        cases = {}
+        for line in lines:
+            fields = line.split()
+            if len(fields) == 2:  # trajectory file name, sha256
+                case = fields[0]
+            else:  # controller, bearing in hex, distance, then the outcome
+                case = f"{fields[0]}-MF bearing {float.fromhex(fields[1]):.6f} ({fields[1]}) distance {fields[2]} m"
+            cases[case] = line
+        return cases
+
+    old, new = by_case(pinned), by_case(current)
+    return [f"{case}\n  pinned:  {old.get(case)}\n  current: {new.get(case)}"
+            for case in {**old, **new} if old.get(case) != new.get(case)]
+
+
+def test_closed_loop_bits_match_the_pin_file():
+    # a deliberate change re-records the file: python tools/bit_digest.py > tests/pins/closed_loop.txt
+    pinned, current = _pinned_lines(), list(_bit_digest().lines())
+    assert current == pinned, "\n".join(_pin_mismatches(pinned, current))
+
+
+def test_a_pin_mismatch_names_its_case():
+    # one hex digit of the 5-MF paper run's path length changed
+    pinned = _pinned_lines()
+    i = next(i for i, line in enumerate(pinned) if line.startswith("5 0x1.921fb54442d18p-1 24.41 "))
+    *fields, path = pinned[i].split()
+    changed = list(pinned)
+    changed[i] = " ".join([*fields, path[:4] + format(int(path[4], 16) ^ 1, "x") + path[5:]])
+    assert _pin_mismatches(pinned, changed) == [
+        f"5-MF bearing 0.785398 (0x1.921fb54442d18p-1) distance 24.41 m\n  pinned:  {pinned[i]}\n  current: {changed[i]}"
+    ]
 
 
 def _moved(sc, phi, tx, ty):
@@ -546,17 +568,17 @@ RIGID_MOTIONS = ((0.3, 0.0, 0.0), (0.0, 100.0, -50.0), (2.0, 1000.0, 1000.0))
 
 def test_map_is_invariant_under_rigid_motions():
     # the loop reads only (e_d, e_theta), so moving start and goal together
-    # changes no case's reached state or tick count on the map
+    # changes no case's pinned reached state or tick count on the map
     tool = _bit_digest()
+    pinned = {tuple(fields[:3]): fields[3:5] for fields in map(str.split, _pinned_lines()) if len(fields) > 2}
     changed, cases = [], 0
     for c in tool.CONTROLLERS:
         for distance in tool.DISTANCES:
             for bearing in tool.BEARINGS:
                 sc = benchmark_scenario(c, bearing, distance)
-                traj, m = run(sc)
                 for motion in RIGID_MOTIONS:
-                    moved_traj, moved_m = run(_moved(sc, *motion))
-                    if (moved_m.reached, len(moved_traj)) != (m.reached, len(traj)):
+                    traj, m = run(_moved(sc, *motion))
+                    if [str(m.reached), str(len(traj) - 1)] != pinned[c, bearing.hex(), repr(distance)]:
                         changed.append((c, bearing, distance, motion))
                 cases += 1
     assert cases == 144
