@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import inspect
 import json
@@ -501,11 +502,11 @@ def test_loop_steps_through_the_public_kinematic_model(controller, monkeypatch):
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# what ``python tools/bit_digest.py`` prints: the benchmark trajectories'
-# sha256, then one line per map and orbit case, final bits in hex
+# what ``python tools/bit_digest.py`` prints: trajectory sha256s, then each case's final bits in hex
 PIN_FILE = os.path.join(ROOT, "tests", "pins", "closed_loop.txt")
 
 
+@functools.cache
 def _bit_digest():
     spec = importlib.util.spec_from_file_location("bit_digest", os.path.join(ROOT, "tools", "bit_digest.py"))
     module = importlib.util.module_from_spec(spec)
@@ -513,32 +514,38 @@ def _bit_digest():
     return module
 
 
+@functools.cache
+def _current_lines():
+    return list(_bit_digest().lines())
+
+
 def _pinned_lines():
     with open(PIN_FILE, encoding="utf-8") as fh:
         return fh.read().splitlines()
 
 
+def _case(line):
+    """A pin line's case: its trajectory file, or its controller, bearing and distance."""
+    c, bearing, *rest = line.split()
+    return c if not rest else f"{c}-MF bearing {float.fromhex(bearing):.6f} ({bearing}) distance {rest[0]} m"
+
+
 def _pin_mismatches(pinned, current):
     """One entry per case whose pinned and current lines differ: the case, then both lines."""
-    def by_case(lines):
-        cases = {}
-        for line in lines:
-            fields = line.split()
-            if len(fields) == 2:  # trajectory file name, sha256
-                case = fields[0]
-            else:  # controller, bearing in hex, distance, then the outcome
-                case = f"{fields[0]}-MF bearing {float.fromhex(fields[1]):.6f} ({fields[1]}) distance {fields[2]} m"
-            cases[case] = line
-        return cases
-
-    old, new = by_case(pinned), by_case(current)
+    old, new = ({_case(line): line for line in lines} for lines in (pinned, current))
     return [f"{case}\n  pinned:  {old.get(case)}\n  current: {new.get(case)}"
             for case in {**old, **new} if old.get(case) != new.get(case)]
 
 
-def test_closed_loop_bits_match_the_pin_file():
-    # a deliberate change re-records the file: python tools/bit_digest.py > tests/pins/closed_loop.txt
-    pinned, current = _pinned_lines(), list(_bit_digest().lines())
+def test_pin_file_lists_the_cases_the_tool_prints():
+    assert list(map(_case, _current_lines())) == list(map(_case, _pinned_lines()))
+
+
+# one test per trajectory file and controller; re-record: python tools/bit_digest.py > tests/pins/closed_loop.txt
+@pytest.mark.parametrize("first", dict.fromkeys(line.split()[0] for line in _pinned_lines()),
+                         ids=lambda first: first if first.endswith(".csv") else f"{first}mf-cases")
+def test_closed_loop_bits_match_the_pin_file(first):
+    pinned, current = ([line for line in lines if line.split()[0] == first] for lines in (_pinned_lines(), _current_lines()))
     assert current == pinned, "\n".join(_pin_mismatches(pinned, current))
 
 
